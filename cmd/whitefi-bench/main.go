@@ -105,6 +105,12 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken after the runs to this file")
 	metrics := flag.Bool("metrics", false, "run the instrumented dense-city + fault-storm pair and print one domain_metrics JSON line after the tables")
 	flag.Parse()
+	if *reps < 1 {
+		// Every table is a median over reps samples: none leaves it
+		// empty, and a negative count cannot size a sample slice.
+		fmt.Fprintf(os.Stderr, "-reps must be at least 1, got %d\n", *reps)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -133,13 +133,13 @@ func TestForkRejections(t *testing.T) {
 // scenario makes interesting (quiesce instant, first fault window,
 // run end minus a hair).
 func FuzzCheckpointAt(f *testing.F) {
-	f.Add(int64(1))                    // virtually time zero
-	f.Add(int64(2_500_000_000))        // mid-settle traffic
-	f.Add(int64(4_999_999_999))        // 1 ns before quiesce
-	f.Add(int64(5_000_000_000))        // the quiesce instant itself
-	f.Add(int64(5_000_000_001))        // 1 ns after
-	f.Add(int64(7_999_999_999))        // run end minus 1 ns
-	f.Add(int64(3_141_592_653))        // arbitrary mid-storm instant
+	f.Add(int64(1))             // virtually time zero
+	f.Add(int64(2_500_000_000)) // mid-settle traffic
+	f.Add(int64(4_999_999_999)) // 1 ns before quiesce
+	f.Add(int64(5_000_000_000)) // the quiesce instant itself
+	f.Add(int64(5_000_000_001)) // 1 ns after
+	f.Add(int64(7_999_999_999)) // run end minus 1 ns
+	f.Add(int64(3_141_592_653)) // arbitrary mid-storm instant
 	f.Fuzz(func(t *testing.T, atNS int64) {
 		RegisterSessions()
 		spec := StormSpec{Seed: 5, Rate: 2, RunMS: 8000, QuiesceMS: 5000}

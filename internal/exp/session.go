@@ -161,10 +161,10 @@ func buildCitySession(raw json.RawMessage, opt checkpoint.Options) (checkpoint.S
 	return &citySession{spec: sp, run: buildDenseCity(sp.cityConfig(opt.SnapshotOut))}, nil
 }
 
-func (s *citySession) Kind() string            { return "densecity" }
-func (s *citySession) Config() interface{}     { return s.spec }
-func (s *citySession) Now() time.Duration      { return s.run.now() }
-func (s *citySession) End() time.Duration      { return s.run.end }
+func (s *citySession) Kind() string              { return "densecity" }
+func (s *citySession) Config() interface{}       { return s.spec }
+func (s *citySession) Now() time.Duration        { return s.run.now() }
+func (s *citySession) End() time.Duration        { return s.run.end }
 func (s *citySession) AdvanceTo(t time.Duration) { s.run.advanceTo(t) }
 
 func (s *citySession) Sections() []checkpoint.Section {

@@ -185,7 +185,9 @@ type Air struct {
 
 	// nodes holds the attached nodes sorted by id: iteration is a plain
 	// slice walk (deterministic and map-free — the per-event eachNode
-	// fan-out is the MAC hot path) and lookup is a binary search.
+	// fan-out is the MAC hot path) and lookup is a binary search. Each
+	// node records its own index here (airNode.idx), which attach and
+	// detach keep current as they shift the slice.
 	nodes   []*airNode
 	nextUID uint64
 
@@ -252,6 +254,9 @@ type Air struct {
 	scratchIdx  []int32
 	scratchIvs  []busyInterval
 	scratchNear []*airNode
+	// scratchMark is the candidate bitset of grid queries, one bit per
+	// index of nodes; every query leaves it all-zero.
+	scratchMark []uint64
 	// Per-channel observation scratch reused across ObservationAt calls,
 	// and the active-AP set reused by ActiveAPsAt — the per-round
 	// full-band observation is the assignment hot path, and rebuilding
@@ -274,6 +279,7 @@ type activeTx struct {
 
 type airNode struct {
 	id        int
+	idx       int            // index in Air.nodes (ascending id)
 	span      []spectrum.UHF // sensed UHF channels (tuned channel span)
 	senser    carrierSenser
 	deliver   func(phy.Frame, *Transmission)
@@ -490,8 +496,8 @@ func (a *Air) RxPowerOf(tx *Transmission, dst int) float64 {
 // received on the node's tuned channel; senser (optional) receives busy
 // transitions.
 func (a *Air) attach(id int, ch spectrum.Channel, isAP bool, senser carrierSenser, deliver func(phy.Frame, *Transmission)) *airNode {
-	n := &airNode{id: id, channel: ch, span: ch.Span(), senser: senser, deliver: deliver, isAP: isAP}
 	i := a.nodeIndex(id)
+	n := &airNode{id: id, idx: i, channel: ch, span: ch.Span(), senser: senser, deliver: deliver, isAP: isAP}
 	if i < len(a.nodes) && a.nodes[i].id == id {
 		old := a.nodes[i]
 		a.nodes[i] = n
@@ -502,6 +508,7 @@ func (a *Air) attach(id int, ch spectrum.Channel, isAP bool, senser carrierSense
 		a.nodes = append(a.nodes, nil)
 		copy(a.nodes[i+1:], a.nodes[i:])
 		a.nodes[i] = n
+		a.reindexFrom(i + 1)
 		if a.grid != nil {
 			a.grid.insert(n, a.pos[id])
 		}
@@ -516,6 +523,7 @@ func (a *Air) detach(id int) {
 	if i := a.nodeIndex(id); i < len(a.nodes) && a.nodes[i].id == id {
 		o := a.nodes[i]
 		a.nodes = append(a.nodes[:i], a.nodes[i+1:]...)
+		a.reindexFrom(i)
 		if a.grid != nil {
 			a.grid.remove(o)
 		}
@@ -525,6 +533,13 @@ func (a *Air) detach(id int) {
 		if j := idIndex(e.sensed, id); j >= 0 {
 			e.sensed = append(e.sensed[:j], e.sensed[j+1:]...)
 		}
+	}
+}
+
+// reindexFrom refreshes airNode.idx for nodes[i:] after a shift.
+func (a *Air) reindexFrom(i int) {
+	for ; i < len(a.nodes); i++ {
+		a.nodes[i].idx = i
 	}
 }
 

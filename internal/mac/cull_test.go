@@ -39,32 +39,49 @@ func (r *recorder) deliver(f phy.Frame, tx *Transmission) {
 	}
 }
 
+// worldConfig selects the medium variant and the node pattern of one
+// randomized world (see worldEvents).
+type worldConfig struct {
+	// noCull selects the brute-force fan-outs; noPool disables the
+	// transmission arena (fresh Transmission per Transmit), the escape
+	// hatch pool_test.go pins event-identical to the pooled path.
+	noCull, noPool bool
+	// churn replaces the default 14 nodes, attached in ascending id
+	// order before any traffic, with 150 nodes of scattered ids,
+	// attached in shuffled order after the grid exists (half of them
+	// mid-run), and detaches and re-attaches nodes throughout the run.
+	churn bool
+	cellM float64 // forced grid cell edge; 0 auto-sizes
+}
+
 // cullWorldEvents runs one randomized spatial world — random placements,
 // channels, broadcast/unicast traffic, and mid-run moves — and returns
 // the full ordered event log. The world is a pure function of (prop,
 // seed, noCull); culling must not appear in it.
 func cullWorldEvents(prop Propagation, seed int64, noCull bool, cellM float64) []string {
-	return worldEvents(prop, seed, noCull, false, cellM)
+	return worldEvents(prop, seed, worldConfig{noCull: noCull, cellM: cellM})
 }
 
-// worldEvents is cullWorldEvents with the transmission arena also
-// switchable: noPool disables pooling (fresh Transmission per Transmit),
-// the escape hatch pool_test.go pins event-identical to the pooled path.
-func worldEvents(prop Propagation, seed int64, noCull, noPool bool, cellM float64) []string {
+// worldEvents is cullWorldEvents with every variant of worldConfig
+// selectable.
+func worldEvents(prop Propagation, seed int64, cfg worldConfig) []string {
 	const (
-		nNodes  = 14
 		nTx     = 300
 		nMoves  = 120
 		areaM   = 2500.0
 		horizon = 2 * time.Second
 	)
+	nNodes := 14
+	if cfg.churn {
+		nNodes = 150
+	}
 	rng := rand.New(rand.NewSource(seed))
 	eng := sim.New(seed)
 	air := NewAir(eng)
 	air.Prop = prop
-	air.NoCull = noCull
-	air.NoPool = noPool
-	air.GridCellM = cellM
+	air.NoCull = cfg.noCull
+	air.NoPool = cfg.noPool
+	air.GridCellM = cfg.cellM
 
 	var log []string
 	channels := []spectrum.Channel{
@@ -74,12 +91,43 @@ func worldEvents(prop Propagation, seed int64, noCull, noPool bool, cellM float6
 		spectrum.Chan(12, spectrum.W20),
 	}
 	ids := make([]int, nNodes)
-	for i := 0; i < nNodes; i++ {
-		id := 1 + i
-		ids[i] = id
+	for i := range ids {
+		ids[i] = 1 + i
+	}
+	if cfg.churn {
+		// Build the grid while the medium is empty, so every attach
+		// below inserts into a live index and shifts node indices.
+		air.NodesNear(Position{}, 1)
+		for i, v := range rng.Perm(1000)[:nNodes] {
+			ids[i] = 1 + v
+		}
+	}
+	recs := make([]*recorder, nNodes)
+	for i, id := range ids {
 		rec := &recorder{id: id, eng: eng, air: air, log: &log}
+		recs[i] = rec
 		air.SetPosition(id, Position{X: rng.Float64() * areaM, Y: rng.Float64() * areaM})
-		air.attach(id, channels[rng.Intn(len(channels))], i%3 == 0, rec, rec.deliver)
+		ch, isAP := channels[rng.Intn(len(channels))], i%3 == 0
+		if !cfg.churn || i < nNodes/2 {
+			air.attach(id, ch, isAP, rec, rec.deliver)
+			continue
+		}
+		at := time.Duration(rng.Int63n(int64(horizon)))
+		eng.Schedule(at, func() { air.attach(id, ch, isAP, rec, rec.deliver) })
+	}
+	if cfg.churn {
+		// Detach and re-attach nodes mid-run, on a fresh channel after
+		// a gap. Overlapping pairs also detach absent nodes and attach
+		// present ones (a same-id replace).
+		for i := 0; i < 60; i++ {
+			k := rng.Intn(nNodes)
+			id, rec := ids[k], recs[k]
+			ch := channels[rng.Intn(len(channels))]
+			at := time.Duration(rng.Int63n(int64(horizon)))
+			back := at + time.Duration(rng.Int63n(int64(200*time.Millisecond)))
+			eng.Schedule(at, func() { air.detach(id) })
+			eng.Schedule(back, func() { air.attach(id, ch, k%3 == 0, rec, rec.deliver) })
+		}
 	}
 	for i := 0; i < nTx; i++ {
 		src := ids[rng.Intn(len(ids))]
@@ -126,18 +174,31 @@ func TestCulledMediumEventIdentical(t *testing.T) {
 				name := fmt.Sprintf("%s/seed%d/cell%v", m.name, seed, cell)
 				brute := cullWorldEvents(m.prop, seed, true, cell)
 				culled := cullWorldEvents(m.prop, seed, false, cell)
-				if len(brute) == 0 {
-					t.Fatalf("%s: empty event log, world generates no traffic", name)
-				}
-				if len(brute) != len(culled) {
-					t.Fatalf("%s: event count diverged: brute %d vs culled %d", name, len(brute), len(culled))
-				}
-				for i := range brute {
-					if brute[i] != culled[i] {
-						t.Fatalf("%s: event %d diverged:\n  brute:  %s\n  culled: %s", name, i, brute[i], culled[i])
-					}
-				}
+				sameWorldEvents(t, name, brute, culled)
+				// Shuffled and mid-run attaches plus detach/re-attach
+				// churn: the node indices the grid query orders by
+				// shift under a live index.
+				brute = worldEvents(m.prop, seed, worldConfig{noCull: true, churn: true, cellM: cell})
+				culled = worldEvents(m.prop, seed, worldConfig{churn: true, cellM: cell})
+				sameWorldEvents(t, name+"/churn", brute, culled)
 			}
+		}
+	}
+}
+
+// sameWorldEvents fails the test unless the culled world's event log
+// equals the brute-force one.
+func sameWorldEvents(t *testing.T, name string, brute, culled []string) {
+	t.Helper()
+	if len(brute) == 0 {
+		t.Fatalf("%s: empty event log, world generates no traffic", name)
+	}
+	if len(brute) != len(culled) {
+		t.Fatalf("%s: event count diverged: brute %d vs culled %d", name, len(brute), len(culled))
+	}
+	for i := range brute {
+		if brute[i] != culled[i] {
+			t.Fatalf("%s: event %d diverged:\n  brute:  %s\n  culled: %s", name, i, brute[i], culled[i])
 		}
 	}
 }

@@ -2,7 +2,7 @@ package mac
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 
 	"whitefi/internal/spectrum"
 )
@@ -26,9 +26,12 @@ import (
 // on the first culled query and then maintained incrementally: attach,
 // detach and retune touch one node's buckets, and a position update
 // re-buckets only the moved node, so a dynamics epoch that moves k
-// nodes costs O(k) index work. Queries visit the cells overlapping the
-// query disk in deterministic order and sort the deduplicated
-// candidates by id, so culled fan-outs observe the same ascending-id
+// nodes costs O(k) index work. A query marks the candidates of the
+// cells overlapping the query disk in a bitset over each node's index
+// in the id-sorted node slice, then reads the set bits in ascending
+// order: that deduplicates the candidates (a node sits in one bucket
+// per spanned channel) and yields them in ascending id without a
+// comparison sort. Culled fan-outs thus observe the same ascending-id
 // visit order as the brute-force walk — the medium stays deterministic
 // and, because MaxRangeFor is an upper bound and span bucketing is
 // exact, event-identical to the unculled medium.
@@ -45,8 +48,8 @@ type gridKey struct {
 
 // nodeGrid buckets attached nodes by position cell and tuned span.
 // Buckets hold the live *airNode (attach refreshes the pointer on a
-// same-id re-attach) in arbitrary order — queries sort. A node appears
-// in one bucket per UHF channel of its span.
+// same-id re-attach) in arbitrary order — queries order them by index.
+// A node appears in one bucket per UHF channel of its span.
 type nodeGrid struct {
 	cell  float64 // cell edge length in meters
 	cells map[gridKey][]*airNode
@@ -237,35 +240,47 @@ func (a *Air) gridFor(r float64) *nodeGrid {
 }
 
 // visitBuckets collects the nodes bucketed under UHF channels [lo, hi]
-// in the cells overlapping the disk of radius r around p, deduplicates
-// (a node appears once per spanned channel), sorts by id, and visits.
+// in the cells overlapping the disk of radius r around p, each once and
+// in ascending id order, and visits them.
 func (a *Air) visitBuckets(g *nodeGrid, p Position, r float64, lo, hi spectrum.UHF, f func(*airNode)) {
 	x0 := int32(math.Floor((p.X - r) / g.cell))
 	x1 := int32(math.Floor((p.X + r) / g.cell))
 	y0 := int32(math.Floor((p.Y - r) / g.cell))
 	y1 := int32(math.Floor((p.Y + r) / g.cell))
-	near := a.scratchNear[:0]
+	if words := (len(a.nodes) + 63) / 64; len(a.scratchMark) < words {
+		a.scratchMark = make([]uint64, words)
+	}
+	mark := a.scratchMark
+	wlo, whi := len(mark), -1
 	for x := x0; x <= x1; x++ {
 		for y := y0; y <= y1; y++ {
 			for u := lo; u <= hi; u++ {
-				near = append(near, g.cells[gridKey{x: x, y: y, u: u}]...)
+				for _, n := range g.cells[gridKey{x: x, y: y, u: u}] {
+					w := n.idx >> 6
+					mark[w] |= 1 << (n.idx & 63)
+					wlo, whi = min(wlo, w), max(whi, w)
+				}
 			}
 		}
 	}
 	// Visit order must match the brute-force walk: ascending id, each
-	// node once. The scratch buffer is detached for the duration of the
-	// visits: a visitor that synchronously transmits (e.g. an OnReceive
-	// hook replying with SendImmediate) re-enters this query, and a
-	// nested query must allocate its own buffer rather than truncate
-	// the one being iterated.
-	slices.SortFunc(near, func(a, b *airNode) int { return a.id - b.id })
-	a.scratchNear = nil
-	var prev *airNode
-	for _, n := range near {
-		if n == prev {
-			continue
+	// node once. nodes is sorted by id, so ascending index is ascending
+	// id, and a node marked under several channels is one bit. The
+	// candidates are collected (clearing the bitset) before any visit,
+	// into a scratch buffer detached for the duration of the visits: a
+	// visitor that synchronously transmits (e.g. an OnReceive hook
+	// replying with SendImmediate) re-enters this query, and a nested
+	// query must start from a clear bitset and allocate its own buffer
+	// rather than truncate the one being iterated.
+	near := a.scratchNear[:0]
+	for w := wlo; w <= whi; w++ {
+		for m := mark[w]; m != 0; m &= m - 1 {
+			near = append(near, a.nodes[w<<6|bits.TrailingZeros64(m)])
 		}
-		prev = n
+		mark[w] = 0
+	}
+	a.scratchNear = nil
+	for _, n := range near {
 		f(n)
 	}
 	if cap(near) > cap(a.scratchNear) {

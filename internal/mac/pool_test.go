@@ -31,8 +31,8 @@ func TestPooledMediumEventIdentical(t *testing.T) {
 			// the culled and brute-force delivery paths.
 			for _, noCull := range []bool{false, true} {
 				name := fmt.Sprintf("%s/seed%d/noCull%v", m.name, seed, noCull)
-				pooled := worldEvents(m.prop, seed, noCull, false, 0)
-				unpooled := worldEvents(m.prop, seed, noCull, true, 0)
+				pooled := worldEvents(m.prop, seed, worldConfig{noCull: noCull})
+				unpooled := worldEvents(m.prop, seed, worldConfig{noCull: noCull, noPool: true})
 				if len(pooled) == 0 {
 					t.Fatalf("%s: empty event log, world generates no traffic", name)
 				}

@@ -22,20 +22,15 @@ import (
 func (e *Engine) DigestState(w io.Writer) {
 	fmt.Fprintf(w, "sim now=%d seq=%d dispatched=%d pending=%d free=%d seed=%d\n",
 		int64(e.now), e.seq, e.dispatched, len(e.queue), len(e.free), e.seed)
-	evs := make([]*event, len(e.queue))
+	evs := make([]slot, len(e.queue))
 	copy(evs, e.queue)
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].at != evs[j].at {
-			return evs[i].at < evs[j].at
-		}
-		return evs[i].seq < evs[j].seq
-	})
-	for _, ev := range evs {
+	sort.Slice(evs, func(i, j int) bool { return evs[i].before(&evs[j]) })
+	for _, s := range evs {
 		kind := "fn"
-		if ev.argFn != nil {
+		if s.ev.argFn != nil {
 			kind = "arg"
 		}
-		fmt.Fprintf(w, "ev at=%d seq=%d kind=%s arg=%d\n", int64(ev.at), ev.seq, kind, ev.arg)
+		fmt.Fprintf(w, "ev at=%d seq=%d kind=%s arg=%d\n", int64(s.at), s.seq, kind, s.ev.arg)
 	}
 	ids := make([]int, 0, len(e.nodeRngs))
 	for id := range e.nodeRngs {

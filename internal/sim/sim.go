@@ -11,21 +11,19 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 	"time"
 )
 
 // event is a pooled scheduled callback. Exactly one of fn/argFn is
 // non-nil. gen is bumped every time the slot is released (fired or
-// cancelled), invalidating outstanding Handles.
+// cancelled), invalidating outstanding Handles. The event's ordering
+// key lives in its queue slot, not here.
 type event struct {
-	at    time.Duration
-	seq   uint64
 	fn    func()
 	argFn func(uint64)
 	arg   uint64
-	index int // heap index while queued
+	index int // queue index while queued
 	gen   uint32
 	live  bool // queued and not yet fired/cancelled
 }
@@ -44,32 +42,109 @@ type Handle struct {
 // yet fired and not cancelled. The zero Handle reports false.
 func (h Handle) Scheduled() bool { return h.ev != nil && h.ev.gen == h.gen && h.ev.live }
 
-type eventQueue []*event
+// slot is one entry of the event queue: the ordering key (at, seq)
+// held inline next to its event, so sifting compares contiguous queue
+// memory and dereferences an event only to record its new index.
+type slot struct {
+	at  time.Duration
+	seq uint64
+	ev  *event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders slots by (at, seq). seq is unique per engine, so this
+// is a total order: any correct min-heap pops the same sequence, which
+// is what keeps the firing order independent of the queue's layout.
+func (s *slot) before(o *slot) bool {
+	return s.at < o.at || (s.at == o.at && s.seq < o.seq)
+}
+
+// arity is the fan-out of the event heap. A 4-ary heap is half as deep
+// as a binary one, and a node's children sit in two adjacent cache
+// lines. Against a binary heap it measured even within noise, both in
+// BenchmarkQueueStep and on the benchmark's city workload (EXPERIMENTS.md
+// "Performance trajectory").
+const arity = 4
+
+// eventQueue is a typed arity-ary min-heap of slots ordered by before.
+// Every move of a slot writes the slot's index into its event, so
+// Cancel can remove an arbitrary event in O(log n).
+type eventQueue []slot
+
+// push inserts s.
+func (q *eventQueue) push(s slot) {
+	*q = append(*q, s)
+	q.up(len(*q)-1, s)
+}
+
+// pop removes and returns the earliest slot; the queue must not be
+// empty.
+func (q *eventQueue) pop() slot {
+	h := *q
+	top := h[0]
+	q.removeAt(0)
+	return top
+}
+
+// removeAt deletes the slot at index i: the last slot fills the hole
+// and sifts whichever way restores the heap.
+func (q *eventQueue) removeAt(i int) {
+	h := *q
+	n := len(h) - 1
+	last := h[n]
+	h[n] = slot{}
+	h = h[:n]
+	*q = h
+	if i == n {
+		return
 	}
-	return q[i].seq < q[j].seq
+	if i > 0 && last.before(&h[(i-1)/arity]) {
+		q.up(i, last)
+	} else {
+		q.down(i, last)
+	}
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index, q[j].index = i, j
+
+// up places s into the hole at i or above it, moving later parents
+// down into the hole.
+func (q eventQueue) up(i int, s slot) {
+	for i > 0 {
+		p := (i - 1) / arity
+		if !s.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
+	}
+	q[i] = s
+	s.ev.index = i
 }
-func (q *eventQueue) Push(x interface{}) {
-	e := x.(*event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+
+// down places s into the hole at i or below it, moving the earliest
+// child up into the hole while that child orders before s.
+func (q eventQueue) down(i int, s slot) {
+	n := len(q)
+	for {
+		c := arity*i + 1
+		if c >= n {
+			break
+		}
+		end := min(c+arity, n)
+		m := c
+		for j := c + 1; j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&s) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.index = i
+		i = m
+	}
+	q[i] = s
+	s.ev.index = i
 }
 
 // Engine is a single-threaded discrete-event scheduler with a seeded
@@ -163,10 +238,8 @@ func (e *Engine) enqueue(at time.Duration, ev *event) Handle {
 	if at < e.now {
 		at = e.now
 	}
-	ev.at = at
-	ev.seq = e.seq
+	e.queue.push(slot{at: at, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.queue, ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -209,7 +282,7 @@ func (e *Engine) Cancel(h Handle) {
 	if h.ev == nil || h.ev.gen != h.gen || !h.ev.live {
 		return
 	}
-	heap.Remove(&e.queue, h.ev.index)
+	e.queue.removeAt(h.ev.index)
 	e.release(h.ev)
 }
 
@@ -218,11 +291,12 @@ func (e *Engine) Cancel(h Handle) {
 // released before its callback runs, so a callback that reschedules
 // typically reuses the slot it just fired from.
 func (e *Engine) Step() bool {
-	if e.queue.Len() == 0 {
+	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
-	e.now = ev.at
+	s := e.queue.pop()
+	ev := s.ev
+	e.now = s.at
 	e.dispatched++
 	fn, argFn, arg := ev.fn, ev.argFn, ev.arg
 	e.release(ev)
@@ -237,7 +311,7 @@ func (e *Engine) Step() bool {
 // RunUntil processes events in order until the queue is empty or the next
 // event is after deadline; the clock is then set to deadline.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	for e.queue.Len() > 0 && e.queue[0].at <= deadline {
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
