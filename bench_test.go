@@ -132,21 +132,13 @@ func BenchmarkDenseCity(b *testing.B) {
 	}
 }
 
-// The DenseCityMedium pair isolates the air-medium fan-out cost at the
-// 1000+-node scale (500 BSSs, 1500 nodes): identical dense-city
-// transmission loads through the neighbor-culled medium and through the
-// legacy brute-force walks (mac.Air.NoCull). The ns/op ratio is the
-// culling speedup; it grows with node count, since brute pays O(nodes)
-// per transmission and culled O(neighbors).
+// BenchmarkDenseCityMediumCulled isolates the air-medium fan-out cost
+// at the 1000+-node scale (500 BSSs, 1500 nodes): a dense-city
+// transmission load through the neighbor-culled medium, which pays
+// O(neighbors) per transmission.
 func BenchmarkDenseCityMediumCulled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		exp.DenseCityMediumLoad(500, 5, false)
-	}
-}
-
-func BenchmarkDenseCityMediumBrute(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.DenseCityMediumLoad(500, 5, true)
+		exp.DenseCityMediumLoad(500, 5)
 	}
 }
 

@@ -583,7 +583,7 @@ func main() {
 			fmt.Printf("%8s  channel=%-14v backup=%-14v goodput=%6s Mbps  associated=%d/%d  disc=%d rec=%d\n",
 				t, net.AP.Channel(), net.AP.Backup(), trace.Mbps(bps), assoc, len(net.Clients), disc, rec)
 		}
-		air.Compact(t - 15*time.Second)
+		air.Prune(t - 15*time.Second)
 	}
 	if wallRun != nil {
 		wallRun.Stop()

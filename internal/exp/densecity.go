@@ -64,10 +64,6 @@ type DenseCityConfig struct {
 	// AssignPeriod is how often each AP re-evaluates its channel with
 	// the hysteresis selector; 0 selects 4 s.
 	AssignPeriod time.Duration
-	// Brute disables spatial culling (mac.Air.NoCull): the
-	// O(nodes × transmissions) fan-out the culled medium replaces. For
-	// benchmarking the two paths; results are event-identical.
-	Brute bool
 	// Tiles, when positive, selects the tiled-metro variant of the
 	// scenario (see DenseCityTiled): the APs are spread over Tiles
 	// guard-spaced city tiles instead of one continuous square, and the
@@ -298,7 +294,6 @@ func buildDenseCity(cfg DenseCityConfig) *cityRun {
 	start := time.Now()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := spatialWorld(cfg.Seed)
-	w.air.NoCull = cfg.Brute
 
 	// Optional observability: wall phases bracket the host-side stages
 	// (strictly outside the deterministic snapshot stream); spans and
@@ -647,9 +642,8 @@ func (r *cityRun) finish() DenseCityResult {
 // 1000+-node scale. Each AP fires a unicast data frame at a client
 // every 10 ms (the client's MAC answers with a real ACK) and a beacon
 // plus the WhiteFi CTS-to-self every 100 ms (both broadcast, the
-// expensive fan-out), for one virtual second. Deliveries are identical
-// with and without culling; only the wall clock differs.
-func DenseCityMediumLoad(aps int, seed int64, brute bool) int64 {
+// expensive fan-out), for one virtual second.
+func DenseCityMediumLoad(aps int, seed int64) int64 {
 	const (
 		clientsPerAP = 2
 		densityKm2   = 24.0
@@ -659,7 +653,6 @@ func DenseCityMediumLoad(aps int, seed int64, brute bool) int64 {
 	)
 	rng := rand.New(rand.NewSource(seed))
 	w := spatialWorld(seed)
-	w.air.NoCull = brute
 	sideM := math.Sqrt(float64(aps)/densityKm2) * 1000
 	free := incumbent.SimulationBaseMap().FreeChannels()
 

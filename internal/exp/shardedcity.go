@@ -85,10 +85,7 @@ type denseTile struct {
 // across shard and worker counts.
 //
 // cfg.Tiles fixes the geometry (and must be positive); cfg.Shards and
-// cfg.Workers only choose the execution schedule. cfg.Brute is
-// ignored here: with one medium per shard the brute-force fan-out is
-// not shard-invariant, and the culled path is the one the sharded
-// engine exists to scale.
+// cfg.Workers only choose the execution schedule.
 func DenseCityTiled(cfg DenseCityConfig) (DenseCityResult, string) {
 	r := buildTiledCity(cfg)
 	r.advanceTo(r.end)

@@ -55,7 +55,7 @@ func siftRun(seed int64, w spectrum.Width, rateBps float64, packets, size int, l
 	if detected > cbr.Sent {
 		detected = cbr.Sent
 	}
-	truth := wd.air.BusyFraction(10, 0, end)
+	truth := wd.air.BusyFractionAt(mac.IdealObserver, 10, 0, end, nil)
 	return detected, cbr.Sent, res.Airtime, truth
 }
 

@@ -57,12 +57,6 @@ type carrierSenser interface {
 	mediumBusyChanged(busy bool)
 }
 
-// PathLoss returns the attenuation in dB between two node ids. The
-// medium adds it to compute received power. Returning 0 places the nodes
-// in perfect range (the paper's simulation setups keep all nodes within
-// transmission range of the AP).
-type PathLoss func(src, dst int) float64
-
 // AirCounters are the medium's cumulative delivery-outcome counts,
 // maintained inline on the launch and delivery paths (see
 // Air.Counters). Launches counts every Transmit; the remaining fields
@@ -70,6 +64,14 @@ type PathLoss func(src, dst int) float64
 // BelowFloor fell under the decode SNR, HalfDuplex hit a receiver that
 // was itself transmitting, Collisions lost to an overlapping audible
 // transmission, FilterDrops were vetoed by DropFilter.
+//
+// Every count except BelowFloor is a property of the simulated world.
+// BelowFloor also depends on how the medium found its candidates: a
+// broadcast examines only the receivers its spatial-index query
+// returned, whole grid cells around the sender, so the count varies
+// with the cell size (GridCellM) and is at most what a walk over every
+// attached node would count. A receiver the query leaves out is below
+// the decode floor, so culling moves no other count.
 type AirCounters struct {
 	Launches    int64
 	Delivered   int64
@@ -91,9 +93,6 @@ type AirCounters struct {
 // O(total history).
 type Air struct {
 	Eng *sim.Engine
-	// Loss is the legacy id-keyed path-loss override; when non-nil it
-	// takes precedence over Prop. Nil (the default) defers to Prop.
-	Loss PathLoss
 	// Prop is the spatial propagation model applied between node
 	// positions (see SetPosition). Nil behaves as FlatPropagation: zero
 	// loss everywhere, the paper's all-in-range simulation setups.
@@ -115,14 +114,6 @@ type Air struct {
 	// comparing media — is still entitled to scan. Nil (the default)
 	// keeps the serial behavior: prune against Eng.Now().
 	PruneClock func() time.Duration
-	// NoCull selects the legacy brute-force medium paths: every launch
-	// and delivery fan-out visits every attached node and the
-	// interference check scans the whole recent log, exactly as the
-	// pre-index medium did. The culled medium is event-identical to it
-	// (the equivalence the cull tests pin), so the switch exists for
-	// validation and for benchmarking the two paths against each other,
-	// not for correctness.
-	NoCull bool
 	// GridCellM overrides the spatial index cell edge in meters. Zero
 	// (the default) derives it from the propagation model's
 	// carrier-sense range; see autoGridCell.
@@ -137,12 +128,6 @@ type Air struct {
 	// id), so a filter drawing from its own seeded RNG keeps the
 	// simulation a pure function of its seeds.
 	DropFilter func(f phy.Frame, src, dst int) bool
-	// NoPool disables the transmission arena: every Transmit allocates a
-	// fresh record that is never recycled, exactly the pre-pool medium.
-	// Like NoCull it exists for validation — the pooled medium is pinned
-	// event-identical to it by the pool equivalence tests — not for
-	// correctness.
-	NoPool bool
 	// Counters accumulates medium-level delivery outcomes. Increments
 	// are plain field adds on paths that already run per launch or per
 	// candidate delivery, so keeping them costs no allocation and no
@@ -178,7 +163,7 @@ type Air struct {
 	// of the center) of any transmission recorded in partition c. A
 	// partition whose reach cannot touch a query channel is skipped
 	// wholesale — on narrow-channel-dominated media this prunes most of
-	// the ±maxHalfSpan partition walk of cleanAt and forEachContaining.
+	// the ±maxHalfSpan partition walk of cleanAt and collectContaining.
 	reach [spectrum.NumUHF]spectrum.UHF
 	// pruneAt is the log length at which the next automatic prune runs.
 	pruneAt int
@@ -214,7 +199,7 @@ type Air struct {
 	sensedPool [][]int32
 
 	// Transmission arena: slots are allocated once and recycled through
-	// the free list when their transmission finishes (unless NoPool).
+	// the free list when their transmission finishes.
 	// txSlotGen counts recycles per slot; a TxHandle embeds the
 	// generation it was issued against, so resolving a handle after its
 	// transmission finished panics instead of silently reading the
@@ -237,9 +222,10 @@ type Air struct {
 	launchSensed []int32
 
 	// grid is the uniform spatial index over attached nodes that the
-	// culled fan-outs query (see grid.go). Built lazily on the first
-	// culled query, then maintained incrementally by attach, detach and
-	// SetPosition; nil until a finite-range model makes culling possible.
+	// fan-outs query (see grid.go). Built lazily on the first query with
+	// a finite range, then maintained incrementally by attach, detach,
+	// retune and SetPosition; nil until a finite-range model makes
+	// culling possible.
 	grid *nodeGrid
 
 	// noiseRange and csRange are one-slot caches of the squared
@@ -292,7 +278,7 @@ type airNode struct {
 // NewAir creates an empty medium bound to the engine.
 func NewAir(eng *sim.Engine) *Air {
 	a := &Air{Eng: eng}
-	a.finishFn = a.finishHandle
+	a.finishFn = a.finish
 	a.deliverFn = a.deliverCurrent
 	a.senseFn = a.senseCurrent
 	return a
@@ -434,9 +420,6 @@ func (a *Air) PositionOf(id int) Position { return a.pos[id] }
 func (a *Air) PosGen() uint64 { return a.posGen }
 
 func (a *Air) loss(src, dst int) float64 {
-	if a.Loss != nil {
-		return a.Loss(src, dst)
-	}
 	if a.Prop == nil {
 		return 0
 	}
@@ -480,9 +463,6 @@ func (a *Air) RxPower(src, dst int, txPowerDBm float64) float64 {
 // wavefront left from where the transmitter stood when the PPDU started,
 // regardless of where that node is now.
 func (a *Air) RxPowerOf(tx *Transmission, dst int) float64 {
-	if a.Loss != nil {
-		return tx.PowerDB - a.Loss(tx.Src, dst)
-	}
 	if a.Prop == nil {
 		return tx.PowerDB
 	}
@@ -637,19 +617,12 @@ func (a *Air) SensedBusy(id int) bool {
 // lives in the medium's arena: it is valid until the transmission
 // finishes (its end event has fired and deliveries resolved), after
 // which the slot is recycled — callers must not retain it past the
-// transmission's End (under NoPool the record is a one-off allocation
-// and never recycled).
+// transmission's End.
 func (a *Air) Transmit(id int, ch spectrum.Channel, f phy.Frame, powerDBm float64, noCS bool) *Transmission {
 	now := a.Eng.Now()
 	a.nextUID++
 	a.Counters.Launches++
-	var tx *Transmission
-	slot := int32(-1)
-	if a.NoPool {
-		tx = &Transmission{}
-	} else {
-		slot, tx = a.allocTx()
-	}
+	slot, tx := a.allocTx()
 	*tx = Transmission{
 		Src:     id,
 		Channel: ch,
@@ -678,30 +651,21 @@ func (a *Air) Transmit(id int, ch spectrum.Channel, f phy.Frame, powerDBm float6
 	a.launchTx = nil
 	a.launchSensed = nil
 	a.active = append(a.active, entry)
-	if slot >= 0 {
-		a.Eng.ScheduleArg(tx.End, a.finishFn, uint64(packTxHandle(slot, a.txSlotGen[slot])))
-	} else {
-		a.Eng.Schedule(tx.End, func() { a.finish(tx, -1) })
-	}
+	a.Eng.ScheduleArg(tx.End, a.finishFn, uint64(packTxHandle(slot, a.txSlotGen[slot])))
 	return tx
 }
 
-// finishHandle is the pooled end-of-transmission event: it unpacks the
-// handle word scheduled by Transmit and finishes the slot's
-// transmission. TxOf's generation check is a corruption tripwire here —
-// only finish frees slots, so the handle cannot have gone stale unless
-// the arena's bookkeeping broke.
-func (a *Air) finishHandle(word uint64) {
+// finish is the end-of-transmission event, scheduled by Transmit with
+// the transmission's packed handle. It drops busy indications at
+// exactly the nodes the launch pinned (as maintained by syncActive
+// since), resolves delivery at each candidate receiver, and recycles
+// the arena slot: delivery callbacks are the last code to see the
+// record. TxOf's generation check is a corruption tripwire here — only
+// finish frees slots, so the handle cannot have gone stale unless the
+// arena's bookkeeping broke.
+func (a *Air) finish(word uint64) {
 	h := TxHandle(word)
-	a.finish(a.TxOf(h), h.slot())
-}
-
-// finish ends a transmission: drops busy indications at exactly the
-// nodes the launch pinned (as maintained by syncActive since) and
-// resolves delivery at each candidate receiver. A pooled transmission
-// (slot >= 0) is recycled afterwards: delivery callbacks are the last
-// code to see the record.
-func (a *Air) finish(tx *Transmission, slot int32) {
+	tx := a.TxOf(h)
 	var sensed []int32
 	for i := range a.active {
 		if a.active[i].tx == tx {
@@ -728,47 +692,19 @@ func (a *Air) finish(tx *Transmission, slot int32) {
 	// the node set; broadcasts walk the decode neighborhood (cleanAt
 	// rejects anything below the decode floor, so nodes beyond that
 	// radius can be skipped without changing any outcome).
-	switch {
-	case a.NoCull:
-		// Legacy fan-out, kept verbatim as the brute-force reference the
-		// cull tests and BenchmarkDenseCity compare against: walk every
-		// attached node for every finish.
-		a.eachNode(func(n *airNode) {
-			if n.id == tx.Src || n.deliver == nil {
-				return
-			}
-			if n.channel != tx.Channel {
-				return
-			}
-			if f := tx.Frame; f.Dst != phy.Broadcast && f.Dst != n.id {
-				return
-			}
-			if !a.cleanAtLegacy(n, tx) {
-				return
-			}
-			if a.DropFilter != nil && a.DropFilter(tx.Frame, tx.Src, n.id) {
-				a.Counters.FilterDrops++
-				return
-			}
-			a.Counters.Delivered++
-			n.deliver(tx.Frame, tx)
-		})
-	case tx.Frame.Dst != phy.Broadcast:
+	if tx.Frame.Dst != phy.Broadcast {
 		if n := a.node(tx.Frame.Dst); n != nil {
 			a.deliverTo(n, tx)
 		}
-	default:
+	} else {
 		a.deliverTx = tx
 		a.eachNodeOverlappingWithin(tx.SrcPos, a.cullRange(tx.PowerDB, NoiseFloorDBm+decodeSNRdB), tx.Channel, a.deliverFn)
 		a.deliverTx = nil
 	}
-	if slot >= 0 {
-		a.freeTx(slot)
-	}
+	a.freeTx(h.slot())
 }
 
-// deliverTo resolves one candidate delivery of tx at node n on the
-// culled path.
+// deliverTo resolves one candidate delivery of tx at node n.
 func (a *Air) deliverTo(n *airNode, tx *Transmission) {
 	if n.id == tx.Src || n.deliver == nil {
 		return
@@ -853,7 +789,7 @@ type rangeCache struct {
 // model — the cheap geometric rejection applied before a full link
 // budget. It never rejects when the medium cannot cull.
 func (a *Air) beyondRange(c *rangeCache, powerDBm, floorDBm, d2 float64) bool {
-	if a.Loss != nil || a.Prop == nil {
+	if a.Prop == nil {
 		return false
 	}
 	if !c.ok || c.pow != powerDBm || c.prop != a.Prop {
@@ -868,46 +804,6 @@ func dist2(p, q Position) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return dx*dx + dy*dy
 }
-
-// cleanAtLegacy is the pre-index interference scan: a backward walk of
-// the whole recent log, all channels, bounded only by the generous
-// legacyFrameAir look-behind. It computes exactly what cleanAt does and
-// exists only as the NoCull reference implementation — the equivalence
-// tests pin the two against each other.
-func (a *Air) cleanAtLegacy(n *airNode, tx *Transmission) bool {
-	rx := a.RxPowerOf(tx, n.id)
-	if rx-NoiseFloorDBm < decodeSNRdB {
-		a.Counters.BelowFloor++
-		return false
-	}
-	if n.txUntil > tx.Start {
-		a.Counters.HalfDuplex++
-		return false
-	}
-	for i := int32(a.logLen() - 1); i >= 0; i-- {
-		if a.logStart[i] < tx.Start-legacyFrameAir {
-			break
-		}
-		if a.logUID[i] == tx.UID || int(a.logSrc[i]) == n.id {
-			continue
-		}
-		if a.logStart[i] >= tx.End || a.logEnd[i] <= tx.Start {
-			continue
-		}
-		if !n.channel.Overlaps(a.logCh[i]) {
-			continue
-		}
-		if a.rxPowerAt(i, n.id) >= NoiseFloorDBm {
-			a.Counters.Collisions++
-			return false
-		}
-	}
-	return true
-}
-
-// legacyFrameAir generously bounds the longest possible frame on air
-// (an MTU-sized frame at 5 MHz is about 9 ms) for cleanAtLegacy.
-const legacyFrameAir = 50 * time.Millisecond
 
 // interferedIn reports whether partition idx holds a transmission other
 // than tx that overlaps it in time, overlaps receiver n's channel, and
@@ -1035,9 +931,6 @@ func (a *Air) materialize(i int32, out *Transmission) {
 // transmission at index i — RxPowerOf over the log columns.
 func (a *Air) rxPowerAt(i int32, dst int) float64 {
 	src := int(a.logSrc[i])
-	if a.Loss != nil {
-		return a.logPower[i] - a.Loss(src, dst)
-	}
 	if a.Prop == nil {
 		return a.logPower[i]
 	}
@@ -1131,9 +1024,6 @@ func (a *Air) Prune(before time.Duration) {
 	}
 }
 
-// Compact is an alias for Prune, kept for older call sites.
-func (a *Air) Compact(before time.Duration) { a.Prune(before) }
-
 // searchStart returns the first log index whose transmission starts at
 // or after t.
 func (a *Air) searchStart(t time.Duration) int {
@@ -1145,36 +1035,12 @@ func (a *Air) searchStartIdx(idx []int32, t time.Duration) int {
 	return sort.Search(len(idx), func(i int) bool { return a.logStart[idx[i]] >= t })
 }
 
-// ForEachOverlapping visits, in start order, every transmission on air
-// at any point of [from, to), regardless of channel. The visited record
-// is materialized into call-local scratch: it is only valid during the
-// call and is overwritten between visits.
-func (a *Air) ForEachOverlapping(from, to time.Duration, visit func(*Transmission)) {
-	var tx Transmission
-	for i := a.searchStart(from - a.maxDur); i < a.logLen(); i++ {
-		if a.logStart[i] >= to {
-			break
-		}
-		if a.logEnd[i] > from {
-			a.materialize(int32(i), &tx)
-			visit(&tx)
-		}
-	}
-}
-
-// HistoryOverlapping returns the transmissions on air at any point of
-// [from, to), in start order. It allocates; use ForEachOverlapping or
-// AppendOverlapping on hot paths.
-func (a *Air) HistoryOverlapping(from, to time.Duration) []Transmission {
-	var out []Transmission
-	a.ForEachOverlapping(from, to, func(tx *Transmission) { out = append(out, *tx) })
-	return out
-}
-
 // ForEachCenterOverlapping visits, in start order, every transmission
 // whose channel is centered on UHF channel center and that is on air at
 // any point of [from, to). Narrow-band renders use this to skip every
-// irrelevant channel partition entirely.
+// irrelevant channel partition entirely. The visited record is
+// materialized into call-local scratch: it is only valid during the
+// call and is overwritten between visits.
 func (a *Air) ForEachCenterOverlapping(center spectrum.UHF, from, to time.Duration, visit func(*Transmission)) {
 	a.forEachIdxOverlapping(a.partition(center), from, to, visit)
 }
@@ -1200,28 +1066,17 @@ func (a *Air) forEachIdxOverlapping(idx []int32, from, to time.Duration, visit f
 	}
 }
 
-// forEachContaining visits, in start order, every transmission whose
-// channel span includes UHF channel u and that overlaps [from, to). Only
-// the partitions of centers within the widest half-span of u are
-// consulted.
 // maxHalfSpan is the widest channel's reach in UHF channels to each
 // side of its center: a 20 MHz channel spans two. Any transmission
 // whose span touches UHF channel u is therefore centered within
-// maxHalfSpan of u — the partition-pruning bound of forEachContaining
+// maxHalfSpan of u — the partition-pruning bound of collectContaining
 // and cleanAt.
 const maxHalfSpan = 2
 
-func (a *Air) forEachContaining(u spectrum.UHF, from, to time.Duration, visit func(*Transmission)) {
-	var tx Transmission
-	for _, i := range a.collectContaining(u, from, to) {
-		a.materialize(i, &tx)
-		visit(&tx)
-	}
-}
-
 // collectContaining gathers, into the shared scratch index buffer, the
 // start-ordered log indices of every transmission whose channel span
-// includes u and that overlaps [from, to). Column-direct queries
+// includes u and that overlaps [from, to). Only the partitions of
+// centers within maxHalfSpan of u are consulted. Column-direct queries
 // (BusyFractionAt, ActiveAPsAt) iterate the returned indices against
 // the log columns without materializing records; the buffer is
 // overwritten by the next window query.
@@ -1262,29 +1117,6 @@ func (a *Air) collectContaining(u spectrum.UHF, from, to time.Duration) []int32 
 	return a.scratchIdx
 }
 
-// Overlapping returns the transmissions on air at any point of [from, to)
-// whose channel span includes UHF channel u, in start order.
-func (a *Air) Overlapping(u spectrum.UHF, from, to time.Duration) []Transmission {
-	var out []Transmission
-	a.forEachContaining(u, from, to, func(tx *Transmission) { out = append(out, *tx) })
-	return out
-}
-
-// BusyFraction returns the fraction of [from, to) during which UHF
-// channel u carried at least one transmission: the ground-truth airtime
-// utilization A_c used to validate SIFT's estimate.
-func (a *Air) BusyFraction(u spectrum.UHF, from, to time.Duration) float64 {
-	return a.BusyFractionExcluding(u, from, to, nil)
-}
-
-// BusyFractionExcluding is BusyFraction ignoring transmissions from the
-// given source nodes. A WhiteFi network excludes its own members when
-// measuring background airtime: the MCham metric estimates the share of
-// the channel *other* traffic leaves available.
-func (a *Air) BusyFractionExcluding(u spectrum.UHF, from, to time.Duration, exclude map[int]bool) float64 {
-	return a.BusyFractionAt(IdealObserver, u, from, to, exclude)
-}
-
 // IdealObserver selects the omniscient accounting in BusyFractionAt and
 // ActiveAPsAt: every transmission is audible regardless of distance (the
 // global ground truth the QualNet-style experiments validate against).
@@ -1303,13 +1135,19 @@ func (a *Air) audibleAt(observer int, i int32) bool {
 	return a.rxPowerAt(i, observer) >= DefaultCSThresholdDBm
 }
 
-// BusyFractionAt is BusyFractionExcluding as heard at node observer:
-// only transmissions whose received power at the observer's position
-// reaches the carrier-sense threshold contribute. This is the
-// receiver-relative airtime a real node's scanner would measure — under
-// spatial propagation, different nodes genuinely observe different
-// airtime on the same UHF channel. The indexed log keeps the query
-// O(transmissions overlapping the window).
+// BusyFractionAt returns the fraction of [from, to) during which UHF
+// channel u carried at least one transmission heard at node observer,
+// ignoring transmissions from the source nodes in exclude (nil excludes
+// none). Only transmissions whose received power at the observer's
+// position reaches the carrier-sense threshold contribute: the
+// receiver-relative airtime a real node's scanner would measure, since
+// under spatial propagation different nodes genuinely observe different
+// airtime on the same UHF channel. With IdealObserver and no exclusions
+// it is the ground-truth airtime utilization A_c used to validate
+// SIFT's estimate; a WhiteFi network excludes its own members when
+// measuring background airtime, because the MCham metric estimates the
+// share of the channel *other* traffic leaves available. The indexed
+// log keeps the query O(transmissions overlapping the window).
 func (a *Air) BusyFractionAt(observer int, u spectrum.UHF, from, to time.Duration, exclude map[int]bool) float64 {
 	if to <= from {
 		return 0
@@ -1432,22 +1270,13 @@ func (a *Air) ObservationAt(observer int, from, to time.Duration, exclude map[in
 	return airtime, aps
 }
 
-// ActiveAPs returns the number of distinct AP nodes that transmitted on a
-// channel spanning u during [from, to), excluding node exclude. This is
-// the ground-truth B_c of Section 4.1.
-func (a *Air) ActiveAPs(u spectrum.UHF, from, to time.Duration, exclude int) int {
-	return a.ActiveAPsExcluding(u, from, to, map[int]bool{exclude: true})
-}
-
-// ActiveAPsExcluding is ActiveAPs with a set of excluded source nodes.
-func (a *Air) ActiveAPsExcluding(u spectrum.UHF, from, to time.Duration, exclude map[int]bool) int {
-	return a.ActiveAPsAt(IdealObserver, u, from, to, exclude)
-}
-
-// ActiveAPsAt is ActiveAPsExcluding as heard at node observer: APs whose
-// transmissions do not reach the observer's position above the
+// ActiveAPsAt returns the number of distinct AP nodes that transmitted
+// on a channel spanning u during [from, to), as heard at node observer
+// and ignoring the source nodes in exclude (nil excludes none). APs
+// whose transmissions do not reach the observer's position above the
 // carrier-sense threshold are invisible to it, just as they would be to
-// the node's SIFT scanner.
+// the node's SIFT scanner. With IdealObserver it is the ground-truth
+// B_c of Section 4.1.
 func (a *Air) ActiveAPsAt(observer int, u spectrum.UHF, from, to time.Duration, exclude map[int]bool) int {
 	if a.apsSeen == nil {
 		a.apsSeen = map[int]bool{}

@@ -30,6 +30,34 @@ func scatterTransmissions(air *Air, eng *sim.Engine, n int, horizon time.Duratio
 	eng.RunUntil(horizon + 50*time.Millisecond)
 }
 
+// containing materializes collectContaining's indices: the partitioned
+// per-channel window query behind BusyFractionAt and ActiveAPsAt.
+func containing(air *Air, u spectrum.UHF, from, to time.Duration) []Transmission {
+	var out []Transmission
+	for _, i := range air.collectContaining(u, from, to) {
+		var tx Transmission
+		air.materialize(i, &tx)
+		out = append(out, tx)
+	}
+	return out
+}
+
+// windowWalk is the all-channel window walk ObservationAt makes: a
+// binary search (searchStart, backed off by the maxDur look-behind) to
+// the first transmission that can still be on air at from, then a
+// forward scan until starts reach to.
+func windowWalk(air *Air, from, to time.Duration) []Transmission {
+	var out []Transmission
+	for i := air.searchStart(from - air.maxDur); i < air.logLen() && air.logStart[i] < to; i++ {
+		if air.logEnd[i] > from {
+			var tx Transmission
+			air.materialize(int32(i), &tx)
+			out = append(out, tx)
+		}
+	}
+	return out
+}
+
 // bruteOverlapping is the seed implementation: a full-history scan.
 func bruteOverlapping(air *Air, u spectrum.UHF, from, to time.Duration) []Transmission {
 	var out []Transmission
@@ -53,6 +81,8 @@ func sameTransmissions(a, b []Transmission) bool {
 	return true
 }
 
+// TestOverlappingMatchesBruteForce checks the per-channel window query
+// (collectContaining) against a full-history scan.
 func TestOverlappingMatchesBruteForce(t *testing.T) {
 	eng := sim.New(7)
 	air := NewAir(eng)
@@ -62,7 +92,7 @@ func TestOverlappingMatchesBruteForce(t *testing.T) {
 		u := spectrum.UHF(rng.Intn(spectrum.NumUHF))
 		from := time.Duration(rng.Int63n(int64(5 * time.Second)))
 		to := from + time.Duration(rng.Int63n(int64(500*time.Millisecond)))
-		got := air.Overlapping(u, from, to)
+		got := containing(air, u, from, to)
 		want := bruteOverlapping(air, u, from, to)
 		if !sameTransmissions(got, want) {
 			t.Fatalf("u=%v [%v,%v): got %d txs, want %d", u, from, to, len(got), len(want))
@@ -70,6 +100,9 @@ func TestOverlappingMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestHistoryOverlappingMatchesBruteForce checks the all-channel
+// window walk (searchStart plus the maxDur look-behind) against a
+// full-history scan.
 func TestHistoryOverlappingMatchesBruteForce(t *testing.T) {
 	eng := sim.New(8)
 	air := NewAir(eng)
@@ -78,7 +111,7 @@ func TestHistoryOverlappingMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		from := time.Duration(rng.Int63n(int64(4 * time.Second)))
 		to := from + time.Duration(rng.Int63n(int64(time.Second)))
-		got := air.HistoryOverlapping(from, to)
+		got := windowWalk(air, from, to)
 		var want []Transmission
 		for _, tx := range air.History() {
 			if tx.overlapsTime(from, to) {
@@ -131,13 +164,23 @@ func TestPruneKeepsWindowQueriesCorrect(t *testing.T) {
 			t.Fatalf("pruned log still holds tx ending at %v", tx.End)
 		}
 	}
-	// Post-prune windowed queries still agree with brute force.
+	// Post-prune windowed queries still agree with brute force: the
+	// rebuilt partitions, reach and maxDur must cover what survived.
 	for trial := 0; trial < 100; trial++ {
 		u := spectrum.UHF(rng.Intn(spectrum.NumUHF))
 		from := 2*time.Second + time.Duration(rng.Int63n(int64(2*time.Second)))
 		to := from + time.Duration(rng.Int63n(int64(500*time.Millisecond)))
-		if !sameTransmissions(air.Overlapping(u, from, to), bruteOverlapping(air, u, from, to)) {
+		if !sameTransmissions(containing(air, u, from, to), bruteOverlapping(air, u, from, to)) {
 			t.Fatalf("post-prune mismatch at u=%v [%v,%v)", u, from, to)
+		}
+		var want []Transmission
+		for _, tx := range air.History() {
+			if tx.overlapsTime(from, to) {
+				want = append(want, tx)
+			}
+		}
+		if !sameTransmissions(windowWalk(air, from, to), want) {
+			t.Fatalf("post-prune window walk mismatch at [%v,%v)", from, to)
 		}
 	}
 }
@@ -182,7 +225,7 @@ func BenchmarkWindowQueryPreHistory(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for u := spectrum.UHF(0); u < spectrum.NumUHF; u++ {
-					air.BusyFraction(u, from, horizon)
+					air.BusyFractionAt(IdealObserver, u, from, horizon, nil)
 				}
 			}
 		})

@@ -21,7 +21,7 @@ import (
 type recorder struct {
 	id  int
 	eng *sim.Engine
-	air *Air
+	air medium
 	log *[]string
 }
 
@@ -39,37 +39,53 @@ func (r *recorder) deliver(f phy.Frame, tx *Transmission) {
 	}
 }
 
-// worldConfig selects the medium variant and the node pattern of one
-// randomized world (see worldEvents).
+// worldConfig selects the medium and the node pattern of one randomized
+// world (see worldEvents).
 type worldConfig struct {
-	// noCull selects the brute-force fan-outs; noPool disables the
-	// transmission arena (fresh Transmission per Transmit), the escape
-	// hatch pool_test.go pins event-identical to the pooled path.
-	noCull, noPool bool
+	// reference runs the world on refAir instead of the production Air.
+	reference bool
 	// churn replaces the default 14 nodes, attached in ascending id
 	// order before any traffic, with 150 nodes of scattered ids,
 	// attached in shuffled order after the grid exists (half of them
 	// mid-run), and detaches and re-attaches nodes throughout the run.
 	churn bool
 	cellM float64 // forced grid cell edge; 0 auto-sizes
+	// dropFilter installs a DropFilter, drawing from its own seeded RNG,
+	// that vetoes about a quarter of the deliveries that survive the
+	// physical layer.
+	dropFilter bool
+	// attachSeed, when non-zero, builds the grid before anything
+	// attaches and attaches the nodes present at the start in an order
+	// shuffled by an RNG of this seed. Every node is drawn before the
+	// first attach, so the shuffle leaves the world itself unchanged.
+	attachSeed int64
 }
 
-// cullWorldEvents runs one randomized spatial world — random placements,
-// channels, broadcast/unicast traffic, and mid-run moves — and returns
-// the full ordered event log. The world is a pure function of (prop,
-// seed, noCull); culling must not appear in it.
-func cullWorldEvents(prop Propagation, seed int64, noCull bool, cellM float64) []string {
-	return worldEvents(prop, seed, worldConfig{noCull: noCull, cellM: cellM})
+// worldModels are the propagation models the randomized worlds run
+// under: no culling at all, a plain range bound, and a shadowed bound
+// reaching kilometres.
+var worldModels = []struct {
+	name string
+	prop Propagation
+}{
+	{"flat", FlatPropagation{}},
+	{"logdistance", LogDistance{}},
+	{"shadowed", LogDistance{ShadowSigmaDB: 8, Seed: 97}},
 }
 
-// worldEvents is cullWorldEvents with every variant of worldConfig
-// selectable.
-func worldEvents(prop Propagation, seed int64, cfg worldConfig) []string {
+// worldEvents runs one randomized spatial world — random placements,
+// channels, broadcast/unicast traffic, mid-run moves and retunes — and
+// returns the full ordered event log and the medium's outcome counters.
+// The world is a pure function of (prop, seed, cfg.churn,
+// cfg.dropFilter); the medium and how it indexes its nodes must not
+// appear in it.
+func worldEvents(prop Propagation, seed int64, cfg worldConfig) ([]string, AirCounters) {
 	const (
-		nTx     = 300
-		nMoves  = 120
-		areaM   = 2500.0
-		horizon = 2 * time.Second
+		nTx      = 300
+		nMoves   = 120
+		nRetunes = 40
+		areaM    = 2500.0
+		horizon  = 2 * time.Second
 	)
 	nNodes := 14
 	if cfg.churn {
@@ -77,11 +93,28 @@ func worldEvents(prop Propagation, seed int64, cfg worldConfig) []string {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	eng := sim.New(seed)
-	air := NewAir(eng)
-	air.Prop = prop
-	air.NoCull = cfg.noCull
-	air.NoPool = cfg.noPool
-	air.GridCellM = cfg.cellM
+	var drop func(phy.Frame, int, int) bool
+	if cfg.dropFilter {
+		drng := rand.New(rand.NewSource(seed + 7919))
+		drop = func(phy.Frame, int, int) bool { return drng.Intn(4) == 0 }
+	}
+	var m medium
+	if cfg.reference {
+		ref := newRefAir(eng, prop)
+		ref.dropFilter = drop
+		m = ref
+	} else {
+		air := NewAir(eng)
+		air.Prop = prop
+		air.GridCellM = cfg.cellM
+		air.DropFilter = drop
+		if cfg.churn || cfg.attachSeed != 0 {
+			// Build the grid while the medium is empty, so every attach
+			// below inserts into a live index and shifts node indices.
+			air.NodesNear(Position{}, 1)
+		}
+		m = airMedium{air}
+	}
 
 	var log []string
 	channels := []spectrum.Channel{
@@ -95,25 +128,45 @@ func worldEvents(prop Propagation, seed int64, cfg worldConfig) []string {
 		ids[i] = 1 + i
 	}
 	if cfg.churn {
-		// Build the grid while the medium is empty, so every attach
-		// below inserts into a live index and shifts node indices.
-		air.NodesNear(Position{}, 1)
 		for i, v := range rng.Perm(1000)[:nNodes] {
 			ids[i] = 1 + v
 		}
 	}
-	recs := make([]*recorder, nNodes)
+	// Draw every node before attaching any, so the attach order cannot
+	// shift the world's RNG stream.
+	type worldNode struct {
+		rec  *recorder
+		ch   spectrum.Channel
+		isAP bool
+		// late nodes (churn) attach mid-run, at time at.
+		late bool
+		at   time.Duration
+	}
+	nodes := make([]worldNode, nNodes)
 	for i, id := range ids {
-		rec := &recorder{id: id, eng: eng, air: air, log: &log}
-		recs[i] = rec
-		air.SetPosition(id, Position{X: rng.Float64() * areaM, Y: rng.Float64() * areaM})
-		ch, isAP := channels[rng.Intn(len(channels))], i%3 == 0
-		if !cfg.churn || i < nNodes/2 {
-			air.attach(id, ch, isAP, rec, rec.deliver)
-			continue
+		rec := &recorder{id: id, eng: eng, air: m, log: &log}
+		m.SetPosition(id, Position{X: rng.Float64() * areaM, Y: rng.Float64() * areaM})
+		nodes[i] = worldNode{rec: rec, ch: channels[rng.Intn(len(channels))], isAP: i%3 == 0}
+		if cfg.churn && i >= nNodes/2 {
+			nodes[i].late, nodes[i].at = true, time.Duration(rng.Int63n(int64(horizon)))
 		}
-		at := time.Duration(rng.Int63n(int64(horizon)))
-		eng.Schedule(at, func() { air.attach(id, ch, isAP, rec, rec.deliver) })
+	}
+	order := make([]int, nNodes)
+	for i := range order {
+		order[i] = i
+	}
+	if cfg.attachSeed != 0 {
+		rand.New(rand.NewSource(cfg.attachSeed)).Shuffle(nNodes, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	}
+	for _, i := range order {
+		if nd := nodes[i]; !nd.late {
+			m.attachNode(nd.rec.id, nd.ch, nd.isAP, nd.rec, nd.rec.deliver)
+		}
+	}
+	for _, nd := range nodes {
+		if nd.late {
+			eng.Schedule(nd.at, func() { m.attachNode(nd.rec.id, nd.ch, nd.isAP, nd.rec, nd.rec.deliver) })
+		}
 	}
 	if cfg.churn {
 		// Detach and re-attach nodes mid-run, on a fresh channel after
@@ -121,12 +174,12 @@ func worldEvents(prop Propagation, seed int64, cfg worldConfig) []string {
 		// present ones (a same-id replace).
 		for i := 0; i < 60; i++ {
 			k := rng.Intn(nNodes)
-			id, rec := ids[k], recs[k]
+			id, rec := ids[k], nodes[k].rec
 			ch := channels[rng.Intn(len(channels))]
 			at := time.Duration(rng.Int63n(int64(horizon)))
 			back := at + time.Duration(rng.Int63n(int64(200*time.Millisecond)))
-			eng.Schedule(at, func() { air.detach(id) })
-			eng.Schedule(back, func() { air.attach(id, ch, k%3 == 0, rec, rec.deliver) })
+			eng.Schedule(at, func() { m.detach(id) })
+			eng.Schedule(back, func() { m.attachNode(id, ch, k%3 == 0, rec, rec.deliver) })
 		}
 	}
 	for i := 0; i < nTx; i++ {
@@ -139,67 +192,108 @@ func worldEvents(prop Propagation, seed int64, cfg worldConfig) []string {
 		f := phy.DataFrame(src, dst, 100+rng.Intn(1200))
 		at := time.Duration(rng.Int63n(int64(horizon)))
 		noCS := rng.Intn(4) == 0
-		eng.Schedule(at, func() { air.Transmit(src, ch, f, DefaultTxPowerDBm, noCS) })
+		eng.Schedule(at, func() { m.Transmit(src, ch, f, DefaultTxPowerDBm, noCS) })
 	}
 	for i := 0; i < nMoves; i++ {
 		id := ids[rng.Intn(len(ids))]
 		p := Position{X: rng.Float64() * areaM, Y: rng.Float64() * areaM}
 		at := time.Duration(rng.Int63n(int64(horizon)))
-		eng.Schedule(at, func() { air.SetPosition(id, p) })
+		eng.Schedule(at, func() { m.SetPosition(id, p) })
+	}
+	for i := 0; i < nRetunes; i++ {
+		id := ids[rng.Intn(len(ids))]
+		ch := channels[rng.Intn(len(channels))]
+		at := time.Duration(rng.Int63n(int64(horizon)))
+		eng.Schedule(at, func() { m.retuneNode(id, ch) })
 	}
 	eng.RunUntil(horizon + 100*time.Millisecond)
-	return log
+	return log, m.counters()
 }
 
-// TestCulledMediumEventIdentical is the culling safety property: on
+// TestCulledMediumEventIdentical is the medium's safety property: on
 // random spatial worlds — every propagation model, random channels,
-// broadcasts and unicasts, nodes moving mid-flight — the culled medium
-// produces exactly the same ordered sequence of busy transitions and
-// deliveries as the brute-force all-nodes fan-out. MaxRangeFor is an
-// upper bound, so culling may only skip work, never change an outcome.
+// broadcasts and unicasts, re-entrant replies, nodes moving and
+// retuning mid-flight, and (churn) nodes attaching, detaching and
+// re-attaching under a live grid — the production Air, culled and
+// pooled, produces exactly the same ordered sequence of busy
+// transitions and deliveries as refAir, which walks every node and
+// scans the whole history. MaxRangeFor is an upper bound, so culling
+// may only skip work, never change an outcome; the arena and the log
+// index are storage, never visible. Every outcome counter except
+// BelowFloor must match too (see AirCounters).
 func TestCulledMediumEventIdentical(t *testing.T) {
-	models := []struct {
-		name string
-		prop Propagation
-	}{
-		{"flat", FlatPropagation{}},
-		{"logdistance", LogDistance{}},
-		{"shadowed", LogDistance{ShadowSigmaDB: 8, Seed: 97}},
-	}
-	for _, m := range models {
+	var total AirCounters
+	for _, m := range worldModels {
 		for seed := int64(1); seed <= 4; seed++ {
-			// A small forced cell size stresses multi-cell queries; 0
-			// exercises the auto-sized grid.
-			for _, cell := range []float64{0, 150} {
-				name := fmt.Sprintf("%s/seed%d/cell%v", m.name, seed, cell)
-				brute := cullWorldEvents(m.prop, seed, true, cell)
-				culled := cullWorldEvents(m.prop, seed, false, cell)
-				sameWorldEvents(t, name, brute, culled)
-				// Shuffled and mid-run attaches plus detach/re-attach
-				// churn: the node indices the grid query orders by
-				// shift under a live index.
-				brute = worldEvents(m.prop, seed, worldConfig{noCull: true, churn: true, cellM: cell})
-				culled = worldEvents(m.prop, seed, worldConfig{churn: true, cellM: cell})
-				sameWorldEvents(t, name+"/churn", brute, culled)
+			for _, churn := range []bool{false, true} {
+				// Seed 4 runs with a drop filter, so the filter is
+				// consulted in the same order by both media.
+				cfg := worldConfig{churn: churn, dropFilter: seed == 4}
+				name := fmt.Sprintf("%s/seed%d/churn%v", m.name, seed, churn)
+				want, wantN := worldEvents(m.prop, seed, worldConfig{reference: true, churn: churn, dropFilter: cfg.dropFilter})
+				if cfg.dropFilter && wantN.FilterDrops == 0 {
+					t.Fatalf("%s: drop filter never vetoed a delivery", name)
+				}
+				// A small forced cell size stresses multi-cell queries; 0
+				// exercises the auto-sized grid.
+				for _, cell := range []float64{0, 150} {
+					cfg.cellM = cell
+					got, gotN := worldEvents(m.prop, seed, cfg)
+					cellName := fmt.Sprintf("%s/cell%v", name, cell)
+					sameWorldEvents(t, cellName, want, got)
+					sameOutcomes(t, cellName, wantN, gotN)
+				}
+				total.Delivered += wantN.Delivered
+				total.HalfDuplex += wantN.HalfDuplex
+				total.Collisions += wantN.Collisions
+			}
+		}
+	}
+	if total.Delivered == 0 || total.HalfDuplex == 0 || total.Collisions == 0 {
+		t.Fatalf("worlds leave an outcome unexercised: %+v", total)
+	}
+}
+
+// TestAttachOrderIndependent: the order in which nodes attach is not
+// part of the world. Building the grid first and attaching each world's
+// initial nodes in a shuffled order must change no event.
+func TestAttachOrderIndependent(t *testing.T) {
+	for _, m := range worldModels {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, churn := range []bool{false, true} {
+				cfg := worldConfig{churn: churn, cellM: 150}
+				want, _ := worldEvents(m.prop, seed, cfg)
+				cfg.attachSeed = 100 + seed
+				got, _ := worldEvents(m.prop, seed, cfg)
+				sameWorldEvents(t, fmt.Sprintf("%s/seed%d/churn%v", m.name, seed, churn), want, got)
 			}
 		}
 	}
 }
 
-// sameWorldEvents fails the test unless the culled world's event log
-// equals the brute-force one.
-func sameWorldEvents(t *testing.T, name string, brute, culled []string) {
+// sameWorldEvents fails the test unless the event log got equals want.
+func sameWorldEvents(t *testing.T, name string, want, got []string) {
 	t.Helper()
-	if len(brute) == 0 {
+	if len(want) == 0 {
 		t.Fatalf("%s: empty event log, world generates no traffic", name)
 	}
-	if len(brute) != len(culled) {
-		t.Fatalf("%s: event count diverged: brute %d vs culled %d", name, len(brute), len(culled))
+	if len(want) != len(got) {
+		t.Fatalf("%s: event count diverged: want %d, got %d", name, len(want), len(got))
 	}
-	for i := range brute {
-		if brute[i] != culled[i] {
-			t.Fatalf("%s: event %d diverged:\n  brute:  %s\n  culled: %s", name, i, brute[i], culled[i])
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: event %d diverged:\n  want: %s\n  got:  %s", name, i, want[i], got[i])
 		}
+	}
+}
+
+// sameOutcomes fails the test unless the counters agree on everything
+// but BelowFloor, which depends on the grid's cell size.
+func sameOutcomes(t *testing.T, name string, want, got AirCounters) {
+	t.Helper()
+	want.BelowFloor, got.BelowFloor = 0, 0
+	if want != got {
+		t.Fatalf("%s: outcome counters diverged:\n  want: %+v\n  got:  %+v", name, want, got)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // Spatial interference culling.
 //
 // The medium's two per-transmission fan-outs — raising carrier sense at
-// launch and resolving delivery at finish — historically visited every
-// attached node, making a dense world O(nodes × transmissions). Under a
-// finite-range propagation model most of those visits are provably
+// launch and resolving delivery at finish — cost O(nodes) each if they
+// walk every attached node, which makes a dense world O(nodes ×
+// transmissions). Under a finite-range propagation model most of those visits are provably
 // irrelevant twice over: nodes beyond the model's MaxRangeFor radius
 // cannot receive the transmission above the relevant floor (the
 // carrier-sense threshold at launch, the decode floor at finish), and
@@ -23,22 +23,27 @@ import (
 // over the attached nodes, bucketed per (cell, spanned UHF channel), so
 // a query returns only the nodes that are both inside the interference
 // neighborhood and tuned to an overlapping channel. It is built lazily
-// on the first culled query and then maintained incrementally: attach,
-// detach and retune touch one node's buckets, and a position update
-// re-buckets only the moved node, so a dynamics epoch that moves k
-// nodes costs O(k) index work. A query marks the candidates of the
-// cells overlapping the query disk in a bitset over each node's index
-// in the id-sorted node slice, then reads the set bits in ascending
-// order: that deduplicates the candidates (a node sits in one bucket
-// per spanned channel) and yields them in ascending id without a
-// comparison sort. Culled fan-outs thus observe the same ascending-id
-// visit order as the brute-force walk — the medium stays deterministic
-// and, because MaxRangeFor is an upper bound and span bucketing is
-// exact, event-identical to the unculled medium.
+// on the first query with a finite range and then maintained
+// incrementally: attach, detach and retune touch one node's buckets,
+// and a position update re-buckets only the moved node, so a dynamics
+// epoch that moves k nodes costs O(k) index work. A query visits only
+// the cells of its rectangle that lie inside the bounding box of every
+// cell the grid has ever put a node in, so its cost is bounded by the
+// occupied extent however far a model's range bound reaches. It marks
+// the candidates in a bitset over each node's index in the id-sorted
+// node slice, then reads the set bits in ascending order: that
+// deduplicates the candidates (a node sits in one bucket per spanned
+// channel) and yields them in ascending id without a comparison sort.
+// Fan-outs thus visit in the same ascending-id order as a walk over
+// every attached node — the medium stays deterministic and, because
+// MaxRangeFor is an upper bound and span bucketing is exact,
+// event-identical to an unculled medium. The tests pin that equivalence
+// against a naive reference medium that walks every node and scans the
+// whole history.
 //
-// Models without a finite bound (FlatPropagation, a nil Prop, or a
-// legacy id-keyed Loss override) report an infinite range; the grid is
-// then never built and the legacy fan-out runs unchanged.
+// Models without a finite bound (FlatPropagation or a nil Prop) report
+// an infinite range; the grid is then never built and the fan-outs walk
+// every attached node.
 
 // gridKey addresses one (cell, UHF channel) bucket of the index.
 type gridKey struct {
@@ -56,6 +61,11 @@ type nodeGrid struct {
 	// where records each attached node's current cell coordinates; the
 	// node's span supplies the u part of its bucket keys.
 	where map[int]gridKey
+	// lo and hi are the corners of a grow-only bounding box of every
+	// cell a node has been bucketed in (u unused). Cells outside it have
+	// always been empty, so queries clamp their rectangle to it. Empty
+	// (lo > hi) until the first insert.
+	lo, hi gridKey
 }
 
 // cellOf maps a position to its cell coordinates (u left zero).
@@ -71,6 +81,8 @@ func (g *nodeGrid) insert(n *airNode, p Position) {
 }
 
 func (g *nodeGrid) insertBuckets(n *airNode, c gridKey) {
+	g.lo.x, g.lo.y = min(g.lo.x, c.x), min(g.lo.y, c.y)
+	g.hi.x, g.hi.y = max(g.hi.x, c.x), max(g.hi.y, c.y)
 	for _, u := range n.span {
 		k := gridKey{x: c.x, y: c.y, u: u}
 		g.cells[k] = append(g.cells[k], n)
@@ -183,6 +195,8 @@ func (a *Air) ensureGrid() *nodeGrid {
 		cell:  cell,
 		cells: make(map[gridKey][]*airNode),
 		where: make(map[int]gridKey, len(a.nodes)),
+		lo:    gridKey{x: math.MaxInt32, y: math.MaxInt32},
+		hi:    gridKey{x: math.MinInt32, y: math.MinInt32},
 	}
 	for _, n := range a.nodes {
 		g.insert(n, a.pos[n.id])
@@ -193,10 +207,9 @@ func (a *Air) ensureGrid() *nodeGrid {
 
 // cullRange returns the radius within which a transmission at powerDBm
 // can still be received at or above floorDBm, or +Inf when the medium
-// cannot cull (no spatial model, a legacy id-keyed Loss override, or
-// the brute-force reference paths selected by NoCull).
+// cannot cull (no spatial model).
 func (a *Air) cullRange(powerDBm, floorDBm float64) float64 {
-	if a.NoCull || a.Loss != nil || a.Prop == nil {
+	if a.Prop == nil {
 		return math.Inf(1)
 	}
 	return a.Prop.MaxRangeFor(powerDBm, floorDBm)
@@ -241,12 +254,13 @@ func (a *Air) gridFor(r float64) *nodeGrid {
 
 // visitBuckets collects the nodes bucketed under UHF channels [lo, hi]
 // in the cells overlapping the disk of radius r around p, each once and
-// in ascending id order, and visits them.
+// in ascending id order, and visits them. The cell rectangle is clamped
+// to the grid's occupied bounding box, which changes no candidate.
 func (a *Air) visitBuckets(g *nodeGrid, p Position, r float64, lo, hi spectrum.UHF, f func(*airNode)) {
-	x0 := int32(math.Floor((p.X - r) / g.cell))
-	x1 := int32(math.Floor((p.X + r) / g.cell))
-	y0 := int32(math.Floor((p.Y - r) / g.cell))
-	y1 := int32(math.Floor((p.Y + r) / g.cell))
+	x0 := max(int32(math.Floor((p.X-r)/g.cell)), g.lo.x)
+	x1 := min(int32(math.Floor((p.X+r)/g.cell)), g.hi.x)
+	y0 := max(int32(math.Floor((p.Y-r)/g.cell)), g.lo.y)
+	y1 := min(int32(math.Floor((p.Y+r)/g.cell)), g.hi.y)
 	if words := (len(a.nodes) + 63) / 64; len(a.scratchMark) < words {
 		a.scratchMark = make([]uint64, words)
 	}
@@ -263,15 +277,15 @@ func (a *Air) visitBuckets(g *nodeGrid, p Position, r float64, lo, hi spectrum.U
 			}
 		}
 	}
-	// Visit order must match the brute-force walk: ascending id, each
-	// node once. nodes is sorted by id, so ascending index is ascending
-	// id, and a node marked under several channels is one bit. The
-	// candidates are collected (clearing the bitset) before any visit,
-	// into a scratch buffer detached for the duration of the visits: a
-	// visitor that synchronously transmits (e.g. an OnReceive hook
-	// replying with SendImmediate) re-enters this query, and a nested
-	// query must start from a clear bitset and allocate its own buffer
-	// rather than truncate the one being iterated.
+	// Visit order must match a walk over every attached node: ascending
+	// id, each node once. nodes is sorted by id, so ascending index is
+	// ascending id, and a node marked under several channels is one
+	// bit. The candidates are collected (clearing the bitset) before any
+	// visit, into a scratch buffer detached for the duration of the
+	// visits: a visitor that synchronously transmits (e.g. an OnReceive
+	// hook replying with SendImmediate) re-enters this query, and a
+	// nested query must start from a clear bitset and allocate its own
+	// buffer rather than truncate the one being iterated.
 	near := a.scratchNear[:0]
 	for w := wlo; w <= whi; w++ {
 		for m := mark[w]; m != 0; m &= m - 1 {

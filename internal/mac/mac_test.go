@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -205,16 +206,16 @@ func TestBusyFraction(t *testing.T) {
 	_ = b
 	a.Send(phy.DataFrame(1, 2, 1000))
 	eng.RunUntil(time.Second)
-	bf := air.BusyFraction(4, 0, time.Second)
+	bf := air.BusyFractionAt(IdealObserver, 4, 0, time.Second, nil)
 	// One data frame + ACK at 5 MHz within a second.
 	want := float64(phy.Airtime(spectrum.W5, 1000+phy.MACHeaderBytes)+phy.ACKAirtime(spectrum.W5)) / float64(time.Second)
 	if diff := bf - want; diff < -0.001 || diff > 0.001 {
 		t.Errorf("busy fraction = %v, want about %v", bf, want)
 	}
-	if air.BusyFraction(5, 0, time.Second) != 0 {
+	if air.BusyFractionAt(IdealObserver, 5, 0, time.Second, nil) != 0 {
 		t.Error("adjacent channel should be idle")
 	}
-	if air.BusyFraction(4, 0, 0) != 0 {
+	if air.BusyFractionAt(IdealObserver, 4, 0, 0, nil) != 0 {
 		t.Error("empty window should be 0")
 	}
 }
@@ -230,7 +231,7 @@ func TestBusyFractionMergesOverlaps(t *testing.T) {
 	air.Transmit(2, ch5(4), phy.DataFrame(2, 99, 1000), DefaultTxPowerDBm, true)
 	eng.RunUntil(time.Second)
 	one := float64(phy.Airtime(spectrum.W5, 1000+phy.MACHeaderBytes)) / float64(time.Second)
-	bf := air.BusyFraction(4, 0, time.Second)
+	bf := air.BusyFractionAt(IdealObserver, 4, 0, time.Second, nil)
 	if diff := bf - one; diff < -0.001 || diff > 0.001 {
 		t.Errorf("busy fraction = %v, want %v (merged)", bf, one)
 	}
@@ -341,10 +342,18 @@ func TestRetuneMovesTraffic(t *testing.T) {
 	}
 }
 
+// constLoss attenuates every link by the same amount, whatever the
+// distance. With no finite range bound it disables culling, so every
+// fan-out walks all attached nodes.
+type constLoss float64
+
+func (c constLoss) LossDB(Position, Position) float64              { return float64(c) }
+func (constLoss) MaxRangeFor(txPowerDBm, floorDBm float64) float64 { return math.Inf(1) }
+
 func TestPathLossBlocksDelivery(t *testing.T) {
 	eng := sim.New(1)
 	air := NewAir(eng)
-	air.Loss = func(src, dst int) float64 { return 120 } // way below noise
+	air.Prop = constLoss(120) // way below noise
 	a := NewNode(eng, air, 1, ch20(), true)
 	b := NewNode(eng, air, 2, ch20(), false)
 	rx := 0
@@ -354,9 +363,8 @@ func TestPathLossBlocksDelivery(t *testing.T) {
 	if rx != 0 {
 		t.Error("frame delivered through 120 dB attenuation")
 	}
-	if !air.SensedBusy(2) == false {
-		// carrier also below CS threshold; b never senses a's traffic
-		_ = a
+	if c := air.Counters; c.Delivered != 0 || c.BelowFloor == 0 {
+		t.Errorf("counters %+v: want every attempt below the decode floor", c)
 	}
 }
 
@@ -370,16 +378,16 @@ func TestActiveAPs(t *testing.T) {
 	_ = p2
 	_ = p3
 	eng.RunUntil(time.Second)
-	if got := air.ActiveAPs(4, 0, time.Second, -2); got != 2 {
+	if got := air.ActiveAPsAt(IdealObserver, 4, 0, time.Second, nil); got != 2 {
 		t.Errorf("APs on channel 4 = %d, want 2", got)
 	}
-	if got := air.ActiveAPs(9, 0, time.Second, -2); got != 1 {
+	if got := air.ActiveAPsAt(IdealObserver, 9, 0, time.Second, nil); got != 1 {
 		t.Errorf("APs on channel 9 = %d, want 1", got)
 	}
-	if got := air.ActiveAPs(4, 0, time.Second, 1); got != 1 {
+	if got := air.ActiveAPsAt(IdealObserver, 4, 0, time.Second, map[int]bool{1: true}); got != 1 {
 		t.Errorf("APs excluding node 1 = %d, want 1", got)
 	}
-	if got := air.ActiveAPs(15, 0, time.Second, -2); got != 0 {
+	if got := air.ActiveAPsAt(IdealObserver, 15, 0, time.Second, nil); got != 0 {
 		t.Errorf("APs on idle channel = %d, want 0", got)
 	}
 }
@@ -393,13 +401,13 @@ func TestCompactBoundsHistory(t *testing.T) {
 	cbr.Start()
 	eng.RunUntil(time.Second)
 	n := len(air.History())
-	air.Compact(900 * time.Millisecond)
+	air.Prune(900 * time.Millisecond)
 	if len(air.History()) >= n {
-		t.Error("compact did not drop anything")
+		t.Error("prune did not drop anything")
 	}
 	for _, tx := range air.History() {
 		if tx.End < 900*time.Millisecond {
-			t.Fatal("compact kept an old transmission")
+			t.Fatal("prune kept an old transmission")
 		}
 	}
 }
@@ -428,7 +436,7 @@ func TestAirtimeConservation(t *testing.T) {
 		_ = p
 	}
 	eng.RunUntil(2 * time.Second)
-	bf := air.BusyFraction(7, 0, 2*time.Second)
+	bf := air.BusyFractionAt(IdealObserver, 7, 0, 2*time.Second, nil)
 	if bf > 1.0 {
 		t.Errorf("busy fraction %v > 1", bf)
 	}

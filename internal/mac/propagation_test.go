@@ -123,7 +123,7 @@ func TestBusyFractionObserverRelative(t *testing.T) {
 	eng.Run()
 	from, to := time.Duration(0), 20*time.Millisecond
 	u := ch.Center
-	ideal := air.BusyFraction(u, from, to)
+	ideal := air.BusyFractionAt(IdealObserver, u, from, to, nil)
 	near := air.BusyFractionAt(50, u, from, to, nil)
 	far := air.BusyFractionAt(51, u, from, to, nil)
 	if ideal <= 0 {

@@ -119,7 +119,7 @@ func TestAirPruneClockHoldsHistory(t *testing.T) {
 		}
 		eng.RunUntil(6 * time.Second)
 		// Does the early transmission survive? Scan its window.
-		busy := air.BusyFraction(ch.Center, 5*time.Millisecond, 20*time.Millisecond)
+		busy := air.BusyFractionAt(IdealObserver, ch.Center, 5*time.Millisecond, 20*time.Millisecond, nil)
 		return busy > 0
 	}
 	if run(true) != true {

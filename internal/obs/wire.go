@@ -85,7 +85,7 @@ func RegisterAirtime(r *Registry, air *mac.Air, window time.Duration, centers []
 			if from == now {
 				return 0
 			}
-			return air.BusyFraction(u, from, now)
+			return air.BusyFractionAt(mac.IdealObserver, u, from, now, nil)
 		})
 	}
 }

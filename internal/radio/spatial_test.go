@@ -72,7 +72,7 @@ func TestScannerDetectionRangeFinite(t *testing.T) {
 	if len(res.Pulses) != 0 {
 		t.Fatalf("scanner at 600 m detected %d pulses, want 0", len(res.Pulses))
 	}
-	if got := air.BusyFraction(ch.Center, 0, 30*time.Millisecond); got <= 0 {
+	if got := air.BusyFractionAt(mac.IdealObserver, ch.Center, 0, 30*time.Millisecond, nil); got <= 0 {
 		t.Fatalf("ideal accounting sees no traffic (%v); test setup broken", got)
 	}
 }

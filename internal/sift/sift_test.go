@@ -220,7 +220,7 @@ func TestSIFTAirtimeMatchesGroundTruth(t *testing.T) {
 	r := iq.NewRenderer(air, 99, rand.New(rand.NewSource(21)))
 	s := r.Render(10, 0, time.Second)
 	est := AirtimeUtilization(DetectPulses(s, Config{}), time.Second)
-	truth := air.BusyFraction(10, 0, time.Second)
+	truth := air.BusyFractionAt(mac.IdealObserver, 10, 0, time.Second, nil)
 	if diff := est - truth; diff < -0.03 || diff > 0.03 {
 		t.Errorf("SIFT airtime %v vs truth %v", est, truth)
 	}

@@ -1,65 +1,83 @@
 #!/usr/bin/env bash
 # alloc_gate.sh — hard allocation-regression gate for the zero-GC hot
-# path. Runs the three reduced-scale alloc-bound scenario benchmarks
-# (BenchmarkAllocGateDenseCity, BenchmarkAllocGateFig12,
-# BenchmarkAllocGateMixedTraffic) and FAILS (exit 1) when any of them
-# regresses allocs_per_op by more than the threshold against the most
-# recently committed BENCH_<sha>.json baseline.
+# path. Runs the reduced-scale alloc-bound scenario benchmarks
+# (BenchmarkAllocGate* in bench_test.go) once and FAILS (exit 1) when
+# any of them regresses allocs/op by more than the threshold against
+# the committed baseline, scripts/alloc_gate_baseline.txt. The gate
+# also fails when that file is missing, when a gate benchmark has no
+# baseline entry, or when a baseline entry names a benchmark that did
+# not run.
 #
 #   threshold: ALLOC_GATE_THRESHOLD, default 10 (percent). allocs/op is
 #   deterministic up to map/slice growth timing, so 10% headroom
 #   absorbs benign growth-pattern shifts while catching any real
 #   reintroduction of per-event/per-frame allocation.
 #
-# A gate benchmark missing from the committed baseline is reported but
-# does not fail the gate (it gates from the first baseline that covers
-# it). No committed baseline at all skips the gate.
+# The benchmarks run at a fixed GOMAXPROCS (-cpu 2) in both modes: the
+# sharded city's allocs/op depend on it (7006, 6261, 6479 and 6922 at
+# GOMAXPROCS 1, 2, 4 and 8 on one commit), so a baseline is only
+# comparable at the GOMAXPROCS it was measured at.
 #
-# Usage: scripts/alloc_gate.sh
+# Usage:
+#   scripts/alloc_gate.sh                  # gate the working tree
+#   scripts/alloc_gate.sh -baseline REV    # rewrite the baseline file,
+#                                          # measured on a clean export of REV
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 threshold=${ALLOC_GATE_THRESHOLD:-10}
+baseline=scripts/alloc_gate_baseline.txt
+cpu=2
 
-# Most recently committed baseline (by commit time).
-baseline=""
-best=0
-for f in $(git ls-files 'BENCH_*.json'); do
-    ct=$(git log -1 --format=%ct -- "$f" 2>/dev/null || echo 0)
-    if [ "$ct" -gt "$best" ]; then
-        best=$ct
-        baseline=$f
-    fi
-done
+# run_gate_benchmarks DIR prints the benchmark output for the tree in DIR.
+run_gate_benchmarks() {
+    (cd "$1" && go test -run '^$' -bench 'BenchmarkAllocGate' -benchtime 1x -benchmem -cpu "$cpu" .)
+}
 
-if [ -z "$baseline" ]; then
-    echo "alloc-gate: no committed BENCH_*.json baseline; skipping"
+if [ "${1:-}" = "-baseline" ]; then
+    rev=$(git rev-parse --short "${2:?usage: scripts/alloc_gate.sh -baseline REV}")
+    tree=$(mktemp -d)
+    trap 'rm -rf "$tree"' EXIT
+    git archive "$rev" | tar -x -C "$tree"
+    echo "alloc-gate: measuring the AllocGate benchmarks at $rev"
+    out=$(run_gate_benchmarks "$tree")
+    echo "$out"
+    {
+        echo "# allocs/op of each BenchmarkAllocGate* benchmark, the baseline"
+        echo "# scripts/alloc_gate.sh gates against. Rewrite it with"
+        echo "# scripts/alloc_gate.sh -baseline REV."
+        echo "commit $rev"
+        echo "go $(go env GOVERSION)"
+        echo "cpu $cpu"
+        echo "$out" | awk '/^BenchmarkAllocGate/ {
+            name = $1; sub(/-[0-9]+$/, "", name)
+            for (i = 4; i <= NF; i++) if ($(i) == "allocs/op") print name, $(i-1)
+        }'
+    } > "$baseline"
+    echo "alloc-gate: wrote $baseline"
     exit 0
 fi
 
-echo "alloc-gate: running AllocGate benchmarks (fail at >+${threshold}% allocs/op vs $baseline)"
+if [ ! -f "$baseline" ]; then
+    echo "alloc-gate: FAIL — no baseline file $baseline (write one with scripts/alloc_gate.sh -baseline REV)"
+    exit 1
+fi
+
+base_go=$(awk '$1 == "go" { print $2 }' "$baseline")
+if [ "$base_go" != "$(go env GOVERSION)" ]; then
+    echo "alloc-gate: note: baseline measured with $base_go, running $(go env GOVERSION); toolchains can shift allocs/op by a few percent"
+fi
+
+echo "alloc-gate: running AllocGate benchmarks (fail at >+${threshold}% allocs/op vs $baseline, measured at $(awk '$1 == "commit" { print $2 }' "$baseline"))"
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
-go test -run '^$' -bench 'BenchmarkAllocGate' -benchtime 1x -benchmem . | tee "$raw"
+run_gate_benchmarks . | tee "$raw"
 
 awk -v thr="$threshold" '
-function base_allocs(name,    line, m) {
-    if (name in cache) return cache[name]
-    return ""
-}
 FILENAME == ARGV[1] {
-    # Baseline JSON lines: pull name (minus -GOMAXPROCS suffix) and allocs_per_op.
-    if (match($0, /"name":"[^"]*"/)) {
-        m = substr($0, RSTART, RLENGTH)
-        sub(/"name":"/, "", m); sub(/"$/, "", m); sub(/-[0-9]+$/, "", m)
-        if (match($0, /"allocs_per_op":[0-9]+/)) {
-            a = substr($0, RSTART, RLENGTH)
-            sub(/"allocs_per_op":/, "", a)
-            cache[m] = a
-        }
-    }
+    if ($1 ~ /^BenchmarkAllocGate/) base[$1] = $2
     next
 }
 /^BenchmarkAllocGate/ {
@@ -67,13 +85,16 @@ FILENAME == ARGV[1] {
     allocs = ""
     for (i = 4; i <= NF; i++) if ($(i) == "allocs/op") allocs = $(i-1)
     if (allocs == "") next
-    b = base_allocs(name)
-    if (b == "") { printf "alloc-gate: %-35s %12d allocs/op (no baseline entry; not gated)\n", name, allocs; next }
-    delta = (allocs - b) / b * 100
-    printf "alloc-gate: %-35s %12d allocs/op vs %d baseline (%+.1f%%)\n", name, allocs, b, delta
+    ran[name] = 1
+    if (!(name in base)) { printf "alloc-gate: %-35s %12d allocs/op (no baseline entry)\n", name, allocs; bad = 1; next }
+    delta = (allocs - base[name]) / base[name] * 100
+    printf "alloc-gate: %-35s %12d allocs/op vs %d baseline (%+.1f%%)\n", name, allocs, base[name], delta
     if (delta > thr) { bad = 1 }
 }
-END { exit bad ? 1 : 0 }
-' "$baseline" "$raw" || { echo "alloc-gate: FAIL — allocs/op regressed past +${threshold}%"; exit 1; }
+END {
+    for (name in base) if (!(name in ran)) { printf "alloc-gate: %-35s in the baseline but did not run\n", name; bad = 1 }
+    exit bad ? 1 : 0
+}
+' "$baseline" "$raw" || { echo "alloc-gate: FAIL — allocs/op regressed past +${threshold}%, or the baseline does not match the gate benchmarks"; exit 1; }
 
 echo "alloc-gate: PASS"
