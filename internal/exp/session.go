@@ -69,7 +69,8 @@ type CitySpec struct {
 	SettleMS int `json:"settle_ms,omitempty"`
 	// MeasureMS is the measurement window; 0 selects 8000.
 	MeasureMS int `json:"measure_ms,omitempty"`
-	// QueueLimit bounds each AP egress queue; 0 leaves it unbounded.
+	// QueueLimit bounds each AP egress queue; 0 keeps the MAC's
+	// 512-frame default.
 	QueueLimit int `json:"queue_limit,omitempty"`
 	// Tiles (tiledcity only) is the guard-spaced tile count; 0 selects 1.
 	Tiles int `json:"tiles,omitempty"`
@@ -119,10 +120,19 @@ func (sp CitySpec) validate(tiled bool) error {
 	if sp.SettleMS < 0 || sp.MeasureMS < 0 || sp.TelemetryMS < 0 {
 		return fmt.Errorf("durations must be non-negative")
 	}
-	if !tiled && sp.Tiles != 0 {
-		return fmt.Errorf("tiles is a tiledcity parameter (use kind tiledcity)")
+	if sp.QueueLimit < 0 {
+		return fmt.Errorf("queue_limit must be non-negative, got %d", sp.QueueLimit)
 	}
-	if tiled && sp.Tiles > sp.APs {
+	if !tiled {
+		if sp.Tiles != 0 || sp.Shards != 0 || sp.Workers != 0 || sp.Mobility {
+			return fmt.Errorf("tiles, shards, workers and mobility are tiledcity parameters (use kind tiledcity)")
+		}
+		return nil
+	}
+	if sp.Tiles < 0 || sp.Shards < 0 || sp.Workers < 0 {
+		return fmt.Errorf("tiles, shards and workers must be non-negative")
+	}
+	if sp.Tiles > sp.APs {
 		return fmt.Errorf("tiles %d exceeds aps %d", sp.Tiles, sp.APs)
 	}
 	return nil
@@ -360,6 +370,9 @@ func (sp MixedSpec) validate() error {
 	}
 	if sp.SettleMS < 0 || sp.MeasureMS < 0 {
 		return fmt.Errorf("durations must be non-negative")
+	}
+	if sp.QueueLimit < 0 {
+		return fmt.Errorf("queue_limit must be non-negative, got %d", sp.QueueLimit)
 	}
 	return nil
 }
