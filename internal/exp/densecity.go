@@ -618,14 +618,20 @@ func (r *cityRun) finish() DenseCityResult {
 		cfg.Obs.Stop()
 		cfg.Obs.Flush()
 	}
+	// The per-BSS means divide by every BSS summed above, which after a
+	// fork's add-aps edit includes the added ones.
+	nodes := 0
+	for _, b := range bss {
+		nodes += 1 + len(b.clients)
+	}
 	r.result = DenseCityResult{
-		APs:                  cfg.APs,
-		Nodes:                cfg.APs * (1 + cfg.ClientsPerAP),
+		APs:                  len(bss),
+		Nodes:                nodes,
 		AreaKm2:              r.areaKm2,
 		GoodputMbps:          bits / cfg.Measure.Seconds() / 1e6,
-		MChamQuality:         quality / float64(cfg.APs),
+		MChamQuality:         quality / float64(len(bss)),
 		InterferenceFreeFrac: ifree,
-		SwitchesPerBSS:       float64(switches) / float64(cfg.APs),
+		SwitchesPerBSS:       float64(switches) / float64(len(bss)),
 		FlowDelayP50Ms:       trace.Median(p50s),
 		FlowDelayP95Ms:       trace.Median(p95s),
 		FlowDropRate:         dropRate,

@@ -92,6 +92,35 @@ func TestForkDivergence(t *testing.T) {
 	}
 }
 
+// TestForkSummaryCountsAddedBSSs pins the forked summary: BSSs added
+// by add-aps count in APs and Nodes, and the per-BSS means divide by
+// every BSS they sum, so MCham quality stays a fraction.
+func TestForkSummaryCountsAddedBSSs(t *testing.T) {
+	RegisterSessions()
+	raw, _ := json.Marshal(CitySpec{APs: 8, Seed: 3, SettleMS: 1000, MeasureMS: 3000})
+	s, err := checkpoint.Build("densecity", raw, checkpoint.Options{})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	s.AdvanceTo(2 * time.Second)
+	cp, err := checkpoint.Capture(s)
+	if err != nil {
+		t.Fatalf("capture: %v", err)
+	}
+	f, err := checkpoint.Fork(cp, []checkpoint.Edit{{Op: "add-aps", N: 24, Seed: 1}}, checkpoint.Options{})
+	if err != nil {
+		t.Fatalf("fork: %v", err)
+	}
+	f.AdvanceTo(f.End())
+	res := f.Result().(CityResult).Result
+	if res.APs != 32 || res.Nodes != 96 {
+		t.Errorf("forked counts APs=%d Nodes=%d, want 32 and 96", res.APs, res.Nodes)
+	}
+	if res.MChamQuality < 0 || res.MChamQuality > 1 {
+		t.Errorf("forked MCham quality %.3f outside [0, 1]", res.MChamQuality)
+	}
+}
+
 // TestForkRejections pins the fork error surface: unknown ops, and
 // kinds that do not implement Editable.
 func TestForkRejections(t *testing.T) {
