@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"time"
@@ -83,13 +84,14 @@ type DenseCityConfig struct {
 	// Mobility, in the tiled variant, walks every client on a seeded
 	// random-waypoint trajectory around its AP (per-tile epoch
 	// updaters), so the equivalence artifact covers moving worlds too.
+	// The continuous city ignores it.
 	Mobility bool
-	// Obs, when non-nil, is attached to the run's engine: the standard
-	// subsystem metrics are registered, assignment rounds are traced
-	// (span "assign.evaluate", event "bss.switch", histogram
-	// "assign.mcham"), and snapshots emit per the observer's Period to
-	// its Out. Snapshot bytes are a pure function of the config, so
-	// they are byte-identical across harness worker counts.
+	// Obs, when non-nil, is attached to the run's coordinator engine:
+	// the standard subsystem metrics are registered (cityRun.observe
+	// lists what each layout registers), the MCham histogram
+	// "assign.mcham" is kept, and snapshots emit per the observer's
+	// Period to its Out. Snapshot bytes are a pure function of the
+	// config, so they are byte-identical across harness worker counts.
 	Obs *obs.Observer
 }
 
@@ -163,6 +165,7 @@ const denseCityIDBase = 10000
 
 // denseBSS is one AP with its clients, flows, and assignment state.
 type denseBSS struct {
+	tile     int // index of the cityTile hosting the BSS
 	ap       *mac.Node
 	clients  []*mac.Node
 	flows    []*traffic.Flow
@@ -224,42 +227,82 @@ func runAfterTies(eng *sim.Engine, t time.Duration, fn func()) {
 	eng.Schedule(t, wrapped)
 }
 
-// cityRun is one dense-city world mid-flight: everything DenseCityRun
-// used to drive from host loops is pre-scheduled on the engine at
-// build, so the run can be advanced to any virtual time, digested,
-// checkpointed, and resumed with no behavioral seam. Built by
-// buildDenseCity; advanced by advanceTo; summarized once by finish.
+// cityClock advances and digests all of a city's engines as one: a
+// *sim.Engine on the continuous layout, a *sim.ShardedEngine on the
+// tiled one.
+type cityClock interface {
+	RunUntil(t time.Duration)
+	Now() time.Duration
+	DigestState(w io.Writer)
+	PendingCount() int
+}
+
+// cityTile is one square region of the city: the world that hosts it,
+// its geometry, the mic set its APs' selectors consult, and its client
+// walker and observability handles. The continuous city is one tile.
+type cityTile struct {
+	w      *world
+	shard  int     // index of w among the layout's worlds
+	origin float64 // X offset of the square, m
+	side   float64 // side length of the square, m
+	inset  float64 // APs stay this far inside the square, m
+	prefix string  // metric-name prefix of the tile's registrations
+	micMap func() spectrum.Map
+	upd    *dynamics.Updater // random-waypoint client walker; nil without mobility
+	hist   *obs.Hist         // MCham histogram; nil without an observer
+}
+
+// cityRun is one dense city mid-flight, in either layout: the
+// continuous city (Tiles == 0: one square on a sim.Engine) or the tiled
+// metro (Tiles guard-spaced squares on a sim.ShardedEngine, see
+// shardedcity.go). A layout step builds what differs — the worlds, the
+// coordinator engine, the tiles and each node's random source — and
+// everything after it is written once. Every stage of the run is
+// pre-scheduled at build, so the run can be advanced to any virtual
+// time, digested, checkpointed and resumed with no behavioral seam.
+// Built by buildCity; advanced by advanceTo; summarized once by finish.
 type cityRun struct {
-	cfg     DenseCityConfig
-	start   time.Time
-	w       *world
-	bss     []*denseBSS
-	mics    []*incumbent.Mic
-	acts    []*dynamics.Activity
-	areaKm2 float64
-	end     time.Duration
+	cfg   DenseCityConfig
+	start time.Time
+	end   time.Duration
+
+	// clock advances and digests every engine; coord runs the barrier
+	// stages (settle round, mic sampling, snapshots) — the continuous
+	// city's one engine, or the sharded engine's global one. shards is
+	// 0 on the continuous layout. rand is each node's backoff source.
+	clock  cityClock
+	coord  *sim.Engine
+	shards int
+	airs   []*mac.Air
+	tiles  []*cityTile
+	rand   func(eng *sim.Engine, id int) *rand.Rand
+
+	bss  []*denseBSS
+	base spectrum.Map
+	free []spectrum.UHF
+	// mics is the coordinator's mic set: what sampling, the observer,
+	// the sections and the summary read.
+	mics   []*incumbent.Mic
+	micMap func() spectrum.Map
+	acts   []*dynamics.Activity
 
 	freeSamples, totalSamples int64
 
-	// sideM and free capture the placement geometry and the channel
-	// pool so fork-time edits can place new BSSs the same way the
-	// build did.
-	sideM float64
-	free  []spectrum.UHF
-
-	micMap   func() spectrum.Map
-	localObs func(b *denseBSS, now time.Duration, m spectrum.Map) assign.Observation
+	// trc traces assignment rounds (continuous layout with an observer).
+	trc              *obs.Tracer
+	evalID, switchID obs.SpanID
 
 	wallRun, wallSummarize *obs.Phase
 
 	finished bool
 	result   DenseCityResult
+	digest   string // canonical digest of a tiled run; empty otherwise
 }
 
 // DenseCityRun executes one dense-deployment world and reports its
 // metrics. The run is deterministic per config (placement, channels and
-// mic schedules all derive from Seed) and identical with and without
-// culling.
+// mic schedules all derive from Seed); Tiles > 0 selects the tiled
+// metro on the sharded engine (see DenseCityTiled).
 //
 // Shape: N APs are placed by a seeded binomial point process (a Poisson
 // process conditioned on its count) over a square sized for
@@ -275,69 +318,63 @@ type cityRun struct {
 // and assignment quality rather than protocol dynamics (MicChurn
 // covers those).
 func DenseCityRun(cfg DenseCityConfig) DenseCityResult {
-	if cfg.Tiles > 0 {
-		r, _ := DenseCityTiled(cfg)
-		return r
-	}
-	r := buildDenseCity(cfg)
+	r := buildCity(cfg)
 	r.advanceTo(r.end)
 	return r.finish()
 }
 
-// buildDenseCity constructs the world and pre-schedules every stage of
-// the run — the settle-time assignment round, the staggered periodic
-// re-evaluations, and the mic-occupancy sampling — as engine events,
-// so DenseCityRun is build + advance + finish and a checkpoint can
-// pause the run at any instant in between.
-func buildDenseCity(cfg DenseCityConfig) *cityRun {
+// buildCity lays the city out, places it, and pre-schedules every stage
+// of the run — the settle-time assignment round, the staggered periodic
+// re-evaluations, and the mic-occupancy sampling — as engine events, so
+// a run is build + advance + finish and a checkpoint can pause it at
+// any instant in between.
+func buildCity(cfg DenseCityConfig) *cityRun {
 	cfg = cfg.withDefaults()
-	start := time.Now()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	w := spatialWorld(cfg.Seed)
+	r := &cityRun{cfg: cfg, start: time.Now(), end: cfg.Settle + cfg.Measure}
 
 	// Optional observability: wall phases bracket the host-side stages
-	// (strictly outside the deterministic snapshot stream); spans and
-	// the MCham histogram are recorded only when an observer is wired.
-	var wallBuild, wallRun, wallSummarize *obs.Phase
+	// (strictly outside the deterministic snapshot stream).
+	var wallBuild *obs.Phase
 	if cfg.Obs != nil && cfg.Obs.Wall != nil {
 		wallBuild = cfg.Obs.Wall.Phase("build")
-		wallRun = cfg.Obs.Wall.Phase("run")
-		wallSummarize = cfg.Obs.Wall.Phase("summarize")
+		r.wallRun = cfg.Obs.Wall.Phase("run")
+		r.wallSummarize = cfg.Obs.Wall.Phase("summarize")
 		wallBuild.Start()
 	}
 
-	areaKm2 := float64(cfg.APs) / cfg.DensityPerKm2
-	sideM := math.Sqrt(areaKm2) * 1000
-
-	base := incumbent.SimulationBaseMap()
-	free := base.FreeChannels()
-
-	// Markov mics: one per free channel, each on its own seeded
-	// schedule (audible city-wide; spatially scoped incumbents are the
-	// Station model, exercised by the spatial scenarios).
-	var mics []*incumbent.Mic
-	var acts []*dynamics.Activity
-	if cfg.MicDuty > 0 {
-		for i, u := range free {
-			m := incumbent.NewMic(w.eng, u)
-			mics = append(mics, m)
-			acts = append(acts, dynamics.NewDutyActivity(w.eng, m, cfg.MicDuty, micChurnCycle, cfg.Seed*1009+int64(i)*613))
-		}
+	if cfg.Tiles > 0 {
+		r.layOutTiles()
+	} else {
+		r.layOutContinuous()
 	}
-	micMap := func() spectrum.Map {
-		m := base
-		for _, mic := range mics {
-			if mic.Active() {
-				m = m.SetOccupied(mic.Channel)
-			}
+	r.base = incumbent.SimulationBaseMap()
+	r.free = r.base.FreeChannels()
+
+	// Markov mics: one per free channel on every engine that hosts a
+	// tile, plus the coordinator's set. incumbent.Mic never touches a
+	// medium and each dynamics.Activity owns its RNG, so every replica
+	// realises the same schedule; each AP's selector consults its own
+	// engine's set. The continuous city's engine is its coordinator, so
+	// it has one set.
+	r.mics, r.acts = r.newMics(r.coord)
+	r.micMap = r.micMapOf(r.mics)
+	maps := map[*sim.Engine]func() spectrum.Map{r.coord: r.micMap}
+	for _, tl := range r.tiles {
+		if maps[tl.w.eng] == nil {
+			mics, acts := r.newMics(tl.w.eng)
+			r.acts = append(r.acts, acts...)
+			maps[tl.w.eng] = r.micMapOf(mics)
 		}
-		return m
+		tl.micMap = maps[tl.w.eng]
 	}
 
-	// Placement and initial channels. Flow specs come from traffic.Mix
-	// (its own RNG stream), so the default (pure CBR downlink) leaves
-	// the placement stream — and therefore the whole run — identical to
-	// the pre-traffic-engine scenario.
+	// Placement, channels and flows: one host-side seeded stream in
+	// fixed tile order, so how tiles map onto shards never moves a
+	// draw. Flow specs come from traffic.Mix (its own RNG stream), so
+	// the default (pure CBR downlink) leaves the placement stream — and
+	// therefore the whole run — identical to the pre-traffic-engine
+	// scenario.
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	specs := traffic.Mix{
 		Models:     cfg.Traffic,
 		UplinkFrac: cfg.UplinkFrac,
@@ -345,178 +382,273 @@ func buildDenseCity(cfg DenseCityConfig) *cityRun {
 		Base:       traffic.Spec{Bytes: 1000, Interval: cfg.TrafficInterval},
 	}.Specs(cfg.APs * cfg.ClientsPerAP)
 	flowID := 0
-	bss := make([]*denseBSS, cfg.APs)
-	for i := range bss {
-		apID := denseCityIDBase + i*(cfg.ClientsPerAP+1)
-		apPos := mac.Position{X: rng.Float64() * sideM, Y: rng.Float64() * sideM}
-		ch := spectrum.Chan(free[rng.Intn(len(free))], spectrum.W5)
-		b := &denseBSS{ids: map[int]bool{apID: true}}
-		b.ap = mac.NewNode(w.eng, w.air, apID, ch, true)
-		b.ap.SetPosition(apPos)
-		if cfg.QueueLimit > 0 {
-			b.ap.SetQueueLimit(cfg.QueueLimit)
+	for t, tl := range r.tiles {
+		aps := cfg.APs / len(r.tiles)
+		if t < cfg.APs%len(r.tiles) {
+			aps++
 		}
-		for c := 0; c < cfg.ClientsPerAP; c++ {
-			id := apID + 1 + c
-			cl := mac.NewNode(w.eng, w.air, id, ch, false)
-			ang := rng.Float64() * 2 * math.Pi
-			d := 10 + rng.Float64()*30 // 10-40 m: deep inside decode range
-			cl.SetPosition(mac.Position{X: apPos.X + d*math.Cos(ang), Y: apPos.Y + d*math.Sin(ang)})
-			b.clients = append(b.clients, cl)
-			b.ids[id] = true
-			sender, receiver := traffic.Orient(specs[flowID], b.ap, cl)
-			f := traffic.NewFlow(w.eng, flowID, specs[flowID], sender, receiver)
-			f.Start()
-			b.flows = append(b.flows, f)
-			flowID++
+		for i := 0; i < aps; i++ {
+			r.bss = append(r.bss, r.placeBSS(t, rng, specs[flowID:flowID+cfg.ClientsPerAP], flowID))
+			flowID += cfg.ClientsPerAP
 		}
-		bss[i] = b
+		if tl.upd != nil {
+			tl.upd.Start()
+		}
 	}
-	for _, a := range acts {
+	for _, a := range r.acts {
 		a.Start()
 	}
+	if r.shards > 1 {
+		r.verifyPartition()
+	}
+	if cfg.Obs != nil {
+		r.observe(cfg.Obs)
+	}
 
-	// obsWindow is the trailing window of localObservation below; the
-	// airtime gauges reuse it so /metrics and the selector see the same
-	// horizon.
-	const obsWindow = 1 * time.Second
-
-	// Wire the observer: standard registrations over the whole city,
-	// aggregate traffic totals (per-flow counters would mean thousands
-	// of metrics here — whitefi-sim registers per-flow on its one-BSS
-	// path), the assignment histogram, and the span tracer.
-	var trc *obs.Tracer
-	var mchamHist *obs.Hist
-	var evalID, switchID obs.SpanID
-	if o := cfg.Obs; o != nil {
-		o.Attach(w.eng)
-		obs.RegisterEngine(o.Reg, w.eng)
-		obs.RegisterAir(o.Reg, w.air)
-		obs.RegisterAirtime(o.Reg, w.air, obsWindow, free)
-		var nodes []*mac.Node
-		var flows []*traffic.Flow
+	// Settle, one unconditional assignment for everyone (on the
+	// coordinator, with every shard paused on the same instant), then
+	// staggered periodic re-evaluation on each BSS's own engine: AP i
+	// re-runs its selector every AssignPeriod at phase i/N — the
+	// desynchronised probing of real independent APs, which lets each
+	// AP see its neighbors' moves instead of the whole city
+	// re-optimising against a stale snapshot in lockstep. The settle
+	// round and the mic samples ride runAfterTies so they observe
+	// exactly the state the old host loops saw after RunUntil; on the
+	// tiled layout each such coordinator event bounds a conservative
+	// window at its instant, as the old per-step RunUntil deadlines
+	// did. BSSs a fork adds later join neither.
+	bss := r.bss
+	runAfterTies(r.coord, cfg.Settle, func() {
 		for _, b := range bss {
-			nodes = append(nodes, b.ap)
-			nodes = append(nodes, b.clients...)
-			flows = append(flows, b.flows...)
-		}
-		obs.RegisterNodes(o.Reg, "mac", nodes)
-		obs.RegisterFlowTotals(o.Reg, flows)
-		o.Reg.GaugeFunc("incumbent.active_mics", func() float64 {
-			n := 0
-			for _, m := range mics {
-				if m.Active() {
-					n++
-				}
-			}
-			return float64(n)
-		})
-		mchamHist = o.Reg.Hist("assign.mcham")
-		trc = o.Tracer()
-		evalID = trc.ID("assign.evaluate")
-		switchID = trc.ID("bss.switch")
-		o.Start()
-	}
-
-	// localObservation is the AP's own view of the spectrum: airtime
-	// and AP counts as received at its position over the trailing
-	// window, own BSS excluded, fused with the current incumbent map.
-	// The window is long enough to average CBR burstiness into a stable
-	// airtime estimate — with a short one every observation is a fresh
-	// roll of the dice and hysteresis cannot hold.
-	localObservation := func(b *denseBSS, now time.Duration, m spectrum.Map) assign.Observation {
-		from := now - obsWindow
-		if from < 0 {
-			from = 0
-		}
-		src := &radio.TrueAirtime{Air: w.air, Exclude: b.ids, Observer: b.ap.ID}
-		return radio.Observe(src, m, from, now, -1)
-	}
-
-	// evaluate runs one AP's hysteresis-selector round. The first round
-	// (empty selector state) assigns unconditionally; later rounds
-	// switch only past the hysteresis margin or when a mic lands on the
-	// operating channel (Selector's involuntary path).
-	evaluate := func(b *denseBSS, countSwitches bool) {
-		startAt := w.eng.Now()
-		sel, switched := b.sel.Evaluate(localObservation(b, w.eng.Now(), micMap()), nil)
-		if mchamHist != nil && sel.OK {
-			mchamHist.Observe(sel.Metric)
-		}
-		if trc != nil {
-			trc.Span(evalID, startAt, int64(b.ap.ID))
-		}
-		if !switched || !sel.OK || sel.Channel == b.ap.Channel() {
-			return
-		}
-		b.retune(sel.Channel)
-		if trc != nil {
-			trc.Event(switchID, int64(b.ap.ID))
-		}
-		if countSwitches {
-			b.switches++
-		}
-	}
-
-	r := &cityRun{
-		cfg:           cfg,
-		start:         start,
-		w:             w,
-		bss:           bss,
-		mics:          mics,
-		acts:          acts,
-		areaKm2:       areaKm2,
-		end:           cfg.Settle + cfg.Measure,
-		sideM:         sideM,
-		free:          free,
-		micMap:        micMap,
-		localObs:      localObservation,
-		wallRun:       wallRun,
-		wallSummarize: wallSummarize,
-	}
-
-	// Settle, one unconditional assignment for everyone, then staggered
-	// periodic re-evaluation: AP i re-runs its selector every
-	// AssignPeriod at phase i/N — the desynchronised probing of real
-	// independent APs, which lets each AP see its neighbors' moves
-	// instead of the whole city re-optimising against a stale snapshot
-	// in lockstep. All of it is pre-scheduled here: the settle round
-	// and the mic samples ride runAfterTies so they observe exactly the
-	// state the old host loops saw after RunUntil.
-	runAfterTies(w.eng, cfg.Settle, func() {
-		for _, b := range bss {
-			evaluate(b, false)
+			r.evaluate(b, false)
 		}
 		for _, b := range bss {
 			b.snapshotRx()
 		}
 	})
-	end := r.end
 	for i, b := range bss {
-		b := b
+		eng := r.tiles[b.tile].w.eng
 		phase := cfg.AssignPeriod * time.Duration(i) / time.Duration(len(bss))
-		for t := cfg.Settle + cfg.AssignPeriod + phase; t < end; t += cfg.AssignPeriod {
-			w.eng.Schedule(t, func() { evaluate(b, true) })
+		for t := cfg.Settle + cfg.AssignPeriod + phase; t < r.end; t += cfg.AssignPeriod {
+			eng.Schedule(t, func() { r.evaluate(b, true) })
 		}
 	}
 
 	// Measurement window: sample mic occupancy of each operating
 	// channel as the Markov schedules churn.
-	for t := cfg.Settle + denseCitySampleStep; t <= end; t += denseCitySampleStep {
-		runAfterTies(w.eng, t, r.sampleMics)
+	for t := cfg.Settle + denseCitySampleStep; t <= r.end; t += denseCitySampleStep {
+		runAfterTies(r.coord, t, r.sampleMics)
 	}
 	if wallBuild != nil {
 		wallBuild.Stop()
-		wallRun.Start()
+		r.wallRun.Start()
 	}
 	return r
+}
+
+// layOutContinuous is the continuous city: one square on one
+// sim.Engine, which is also the coordinator, and every node drawing
+// backoff from the engine's shared stream.
+func (r *cityRun) layOutContinuous() {
+	w := spatialWorld(r.cfg.Seed)
+	r.clock, r.coord, r.airs = w.eng, w.eng, []*mac.Air{w.air}
+	r.rand = func(eng *sim.Engine, _ int) *rand.Rand { return eng.Rand() }
+	r.tiles = []*cityTile{{w: w, side: citySide(r.cfg, 1)}}
+}
+
+// citySide is the side length in meters of each of n equal squares
+// that together hold the config's APs at its density.
+func citySide(cfg DenseCityConfig, n int) float64 {
+	return math.Sqrt(float64(cfg.APs)/float64(n)/cfg.DensityPerKm2) * 1000
+}
+
+// newMics builds one Markov mic per free channel on eng, each on its
+// own seeded schedule (audible city-wide; spatially scoped incumbents
+// are the Station model, exercised by the spatial scenarios).
+func (r *cityRun) newMics(eng *sim.Engine) ([]*incumbent.Mic, []*dynamics.Activity) {
+	var mics []*incumbent.Mic
+	var acts []*dynamics.Activity
+	if r.cfg.MicDuty > 0 {
+		for i, u := range r.free {
+			m := incumbent.NewMic(eng, u)
+			mics = append(mics, m)
+			acts = append(acts, dynamics.NewDutyActivity(eng, m, r.cfg.MicDuty, micChurnCycle, r.cfg.Seed*1009+int64(i)*613))
+		}
+	}
+	return mics, acts
+}
+
+// micMapOf returns the base map with every active mic's channel
+// occupied.
+func (r *cityRun) micMapOf(mics []*incumbent.Mic) func() spectrum.Map {
+	return func() spectrum.Map {
+		m := r.base
+		for _, mic := range mics {
+			if mic.Active() {
+				m = m.SetOccupied(mic.Channel)
+			}
+		}
+		return m
+	}
+}
+
+// placeBSS builds BSS number len(r.bss) in tile t: its AP uniform over
+// the tile's inset square on a uniform free 5 MHz channel, and each
+// client 10-40 m from it carrying the flow of the matching spec, ids
+// from flowID up. Draws come from rng in a fixed order, so the build
+// and the add-aps fork edit place BSSs the same way.
+func (r *cityRun) placeBSS(t int, rng *rand.Rand, specs []traffic.Spec, flowID int) *denseBSS {
+	cfg, tl := r.cfg, r.tiles[t]
+	w := tl.w
+	apID := denseCityIDBase + len(r.bss)*(cfg.ClientsPerAP+1)
+	span := tl.side - 2*tl.inset
+	apPos := mac.Position{
+		X: tl.origin + tl.inset + rng.Float64()*span,
+		Y: tl.inset + rng.Float64()*span,
+	}
+	ch := spectrum.Chan(r.free[rng.Intn(len(r.free))], spectrum.W5)
+	b := &denseBSS{tile: t, ids: map[int]bool{apID: true}}
+	b.ap = mac.NewNode(w.eng, w.air, apID, ch, true)
+	b.ap.SetPosition(apPos)
+	b.ap.SetRand(r.rand(w.eng, apID))
+	if cfg.QueueLimit > 0 {
+		b.ap.SetQueueLimit(cfg.QueueLimit)
+	}
+	for c, spec := range specs {
+		id := apID + 1 + c
+		cl := mac.NewNode(w.eng, w.air, id, ch, false)
+		ang := rng.Float64() * 2 * math.Pi
+		d := 10 + rng.Float64()*30 // 10-40 m: deep inside decode range
+		clPos := mac.Position{X: apPos.X + d*math.Cos(ang), Y: apPos.Y + d*math.Sin(ang)}
+		cl.SetPosition(clPos)
+		cl.SetRand(r.rand(w.eng, id))
+		b.clients = append(b.clients, cl)
+		b.ids[id] = true
+		sender, receiver := traffic.Orient(spec, b.ap, cl)
+		f := traffic.NewFlow(w.eng, flowID+c, spec, sender, receiver)
+		f.Start()
+		b.flows = append(b.flows, f)
+		if tl.upd != nil {
+			tl.upd.Track(id, &dynamics.RandomWaypoint{
+				Seed:     cfg.Seed*7919 + int64(id)*104729,
+				Min:      mac.Position{X: apPos.X - 40, Y: apPos.Y - 40},
+				Max:      mac.Position{X: apPos.X + 40, Y: apPos.Y + 40},
+				SpeedMin: 0.5,
+				SpeedMax: 1.5,
+				Pause:    2 * time.Second,
+				Start:    clPos,
+			}, nil)
+		}
+	}
+	return b
+}
+
+// cityObsWindow is the trailing window of localObservation; the
+// airtime gauges reuse it so /metrics and the selector see the same
+// horizon.
+const cityObsWindow = 1 * time.Second
+
+// observe wires o to the city before the run starts. The snapshot
+// ticker runs on the coordinator, so on the tiled layout every read
+// lands at a barrier, and registration there keeps to what is
+// shard-invariant: medium counters summed over the shard media
+// (RegisterAirs drops the layout gauges), and no engine metrics — the
+// coordinator dispatches barrier bookkeeping and each shard re-runs
+// the mic replicas, so event counts legitimately vary with the shard
+// count. The continuous city registers its engine, its medium, the
+// trailing-window airtime gauges and an assignment-round tracer (span
+// "assign.evaluate", event "bss.switch"). Both register MAC aggregates
+// and the MCham histogram per tile (the continuous city's one tile has
+// no name prefix; tile t's are "tileNN." whichever engine hosts it)
+// and aggregate traffic totals (per-flow counters would mean thousands
+// of metrics here).
+func (r *cityRun) observe(o *obs.Observer) {
+	o.Attach(r.coord)
+	if r.shards == 0 {
+		w := r.tiles[0].w
+		obs.RegisterEngine(o.Reg, w.eng)
+		obs.RegisterAir(o.Reg, w.air)
+		obs.RegisterAirtime(o.Reg, w.air, cityObsWindow, r.free)
+		r.trc = o.Tracer()
+		r.evalID = r.trc.ID("assign.evaluate")
+		r.switchID = r.trc.ID("bss.switch")
+	} else {
+		obs.RegisterAirs(o.Reg, r.airs)
+	}
+	tileNodes := make([][]*mac.Node, len(r.tiles))
+	var flows []*traffic.Flow
+	for _, b := range r.bss {
+		tileNodes[b.tile] = append(tileNodes[b.tile], b.ap)
+		tileNodes[b.tile] = append(tileNodes[b.tile], b.clients...)
+		flows = append(flows, b.flows...)
+	}
+	for t, tl := range r.tiles {
+		obs.RegisterNodes(o.Reg, tl.prefix+"mac", tileNodes[t])
+		tl.hist = o.Reg.Hist(tl.prefix + "assign.mcham")
+	}
+	obs.RegisterFlowTotals(o.Reg, flows)
+	o.Reg.GaugeFunc("incumbent.active_mics", func() float64 {
+		n := 0
+		for _, m := range r.mics {
+			if m.Active() {
+				n++
+			}
+		}
+		return float64(n)
+	})
+	o.Start()
+}
+
+// localObservation is the AP's own view of the spectrum: airtime and AP
+// counts as received at its position over the trailing window, own BSS
+// excluded, fused with the incumbent map m. The window is long enough
+// to average CBR burstiness into a stable airtime estimate — with a
+// short one every observation is a fresh roll of the dice and
+// hysteresis cannot hold. On the tiled layout the medium is the tile's
+// shard's; spatial culling makes remote tiles invisible to the
+// observer-relative airtime source anyway.
+func (r *cityRun) localObservation(b *denseBSS, now time.Duration, m spectrum.Map) assign.Observation {
+	from := now - cityObsWindow
+	if from < 0 {
+		from = 0
+	}
+	src := &radio.TrueAirtime{Air: r.tiles[b.tile].w.air, Exclude: b.ids, Observer: b.ap.ID}
+	return radio.Observe(src, m, from, now, -1)
+}
+
+// evaluate runs one AP's hysteresis-selector round against its own
+// engine's mic set. The first round (empty selector state) assigns
+// unconditionally; later rounds switch only past the hysteresis margin
+// or when a mic lands on the operating channel (Selector's involuntary
+// path).
+func (r *cityRun) evaluate(b *denseBSS, countSwitches bool) {
+	tl := r.tiles[b.tile]
+	now := tl.w.eng.Now()
+	sel, switched := b.sel.Evaluate(r.localObservation(b, now, tl.micMap()), nil)
+	if tl.hist != nil && sel.OK {
+		tl.hist.Observe(sel.Metric)
+	}
+	if r.trc != nil {
+		r.trc.Span(r.evalID, now, int64(b.ap.ID))
+	}
+	if !switched || !sel.OK || sel.Channel == b.ap.Channel() {
+		return
+	}
+	b.retune(sel.Channel)
+	if r.trc != nil {
+		r.trc.Event(r.switchID, int64(b.ap.ID))
+	}
+	if countSwitches {
+		b.switches++
+	}
 }
 
 // denseCitySampleStep is the mic-occupancy sampling cadence of the
 // measurement window.
 const denseCitySampleStep = 250 * time.Millisecond
 
-// sampleMics takes one mic-occupancy sample across every BSS.
+// sampleMics takes one mic-occupancy sample across every BSS against
+// the coordinator's mic set.
 func (r *cityRun) sampleMics() {
 	for _, b := range r.bss {
 		r.totalSamples++
@@ -541,21 +673,22 @@ func (r *cityRun) advanceTo(t time.Duration) {
 	if t > r.end {
 		t = r.end
 	}
-	r.w.eng.RunUntil(t)
+	r.clock.RunUntil(t)
 }
 
-// now returns the run's current virtual time.
-func (r *cityRun) now() time.Duration { return r.w.eng.Now() }
+// now returns the run's current virtual time (the coordinator clock).
+func (r *cityRun) now() time.Duration { return r.clock.Now() }
 
-// finish summarizes the completed run. It is memoized: the first call
-// stops the generators and the observer and computes the metrics;
+// finish summarizes the completed run, and on the tiled layout renders
+// its canonical digest. It is memoized: the first call stops the
+// walkers, mics, generators and the observer and computes the metrics;
 // later calls return the same result.
 func (r *cityRun) finish() DenseCityResult {
 	if r.finished {
 		return r.result
 	}
 	r.finished = true
-	cfg, bss, end := r.cfg, r.bss, r.end
+	cfg, bss := r.cfg, r.bss
 	if r.wallRun != nil {
 		r.wallRun.Stop()
 		r.wallSummarize.Start()
@@ -571,12 +704,12 @@ func (r *cityRun) finish() DenseCityResult {
 	var switches int
 	for _, b := range bss {
 		switches += b.switches
-		obs := r.localObs(b, end, m)
-		cur := assign.MCham(obs, b.ap.Channel())
+		o := r.localObservation(b, r.end, m)
+		cur := assign.MCham(o, b.ap.Channel())
 		best := cur
 		for _, c := range spectrum.AllChannels() {
-			if obs.Map.ChannelFree(c) {
-				if v := assign.MCham(obs, c); v > best {
+			if o.Map.ChannelFree(c) {
+				if v := assign.MCham(o, c); v > best {
 					best = v
 				}
 			}
@@ -585,6 +718,11 @@ func (r *cityRun) finish() DenseCityResult {
 			quality += cur / best
 		} else {
 			quality++ // nothing is free anywhere: the AP is trivially optimal
+		}
+	}
+	for _, tl := range r.tiles {
+		if tl.upd != nil {
+			tl.upd.Stop()
 		}
 	}
 	for _, a := range r.acts {
@@ -611,6 +749,9 @@ func (r *cityRun) finish() DenseCityResult {
 	if generated > 0 {
 		dropRate = float64(dropped) / float64(generated)
 	}
+	if r.shards > 0 {
+		r.digest = r.tiledDigest(bits, quality, switches, dropRate)
+	}
 	if r.wallRun != nil {
 		r.wallSummarize.Stop()
 	}
@@ -627,7 +768,9 @@ func (r *cityRun) finish() DenseCityResult {
 	r.result = DenseCityResult{
 		APs:                  len(bss),
 		Nodes:                nodes,
-		AreaKm2:              r.areaKm2,
+		AreaKm2:              float64(cfg.APs) / cfg.DensityPerKm2,
+		Tiles:                cfg.Tiles,
+		Shards:               r.shards,
 		GoodputMbps:          bits / cfg.Measure.Seconds() / 1e6,
 		MChamQuality:         quality / float64(len(bss)),
 		InterferenceFreeFrac: ifree,

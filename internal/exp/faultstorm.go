@@ -74,29 +74,23 @@ type faultStormCell struct {
 	trace     string
 }
 
-// faultStormRun runs one seeded storm cell. The returned trace is the
-// byte-stable fault + outage log: every injector event in engine order,
-// then every client outage episode in engine (closing) order, then any
-// episodes still open at the end — the artifact the parallel-determinism
-// test pins byte-identical across worker counts.
+// faultStormRunCell runs one seeded storm cell to its end. The
+// returned trace is the byte-stable fault + outage log (see
+// stormCell.writeTrace) — the artifact the parallel-determinism test
+// pins byte-identical across worker counts.
 func faultStormRunCell(seed int64, rate float64) faultStormCell {
-	return faultStormObservedCell(seed, rate, nil)
+	r := buildFaultStorm(FaultStormCellConfig{Seed: seed, Rate: rate}, nil)
+	r.advanceTo(r.end)
+	return r.finish()
 }
 
 // FaultStormObserved runs one seeded storm cell with the observer
-// attached: the engine, medium, MAC nodes, clients, AP, AP scanner and
-// fault injector are all registered before the storm starts, so the
-// observer's final snapshot carries the cell's domain counters
-// (crashes, outages, rendezvous attempts, injections). whitefi-bench
-// folds that snapshot into the benchmark baseline JSON.
+// attached (see buildFaultStorm), so the observer's final snapshot
+// carries the cell's domain counters.
 func FaultStormObserved(seed int64, rate float64, o *obs.Observer) {
-	faultStormObservedCell(seed, rate, o)
-}
-
-func faultStormObservedCell(seed int64, rate float64, o *obs.Observer) faultStormCell {
 	r := buildFaultStorm(FaultStormCellConfig{Seed: seed, Rate: rate}, o)
 	r.advanceTo(r.end)
-	return r.finish()
+	r.finish()
 }
 
 // FaultStormCellConfig parameterizes one hermetic storm cell. The zero
@@ -126,75 +120,131 @@ func (c FaultStormCellConfig) withDefaults() FaultStormCellConfig {
 	return c
 }
 
-// stormRun is one in-flight FaultStorm cell: the built world plus the
-// mutable outage log and everything finish needs. The quiesce stage is
-// an engine event, so the run can be advanced in arbitrary steps.
-type stormRun struct {
-	cfg FaultStormCellConfig
-	w   *world
-	net *core.Network
-	inj *fault.Injector
-	ge  *fault.GilbertElliott
-	o   *obs.Observer
-	end time.Duration
+// stormCell is one stormed BSS: the hardened network (per-flow
+// shedding at a tightened AP queue, saturating downlink), its
+// crash/restart injector, the Gilbert–Elliott loss overlay (nil at
+// rate 0) and the client outage log in engine (closing) order. The
+// lone FaultStorm cell and every tile of ShardedStorm are built by
+// newStormCell.
+type stormCell struct {
+	w     *world
+	seed  int64
+	rate  float64
+	net   *core.Network
+	inj   *fault.Injector
+	ge    *fault.GilbertElliott
+	lines []string
+}
 
-	lines []string // client outage episodes, in engine (closing) order
+// newStormCell builds a cell's network and injector on w without
+// starting the storm. nc carries the id block and per-node random
+// source: the zero Config for a lone cell (shedding is always on).
+func newStormCell(w *world, seed int64, rate float64, nc core.Config) *stormCell {
+	nc.Shedding = true
+	sensors := sensorsFor(incumbent.SimulationBaseMap(), faultStormClients, 0, nil, nil)
+	net := core.NewNetwork(w.eng, w.air, nc, sensors)
+	net.AP.Node.SetQueueLimit(faultStormQueue)
+	net.StartDownlink(1000)
+	c := &stormCell{w: w, seed: seed, rate: rate, net: net}
+	for _, cl := range net.Clients {
+		cl.OnOutage = func(rec trace.OutageRecord) { c.lines = append(c.lines, rec.Line()) }
+	}
+	c.inj = fault.NewInjector(w.eng, fault.Config{Seed: seed, Rate: rate})
+	c.inj.AddTarget(net.AP.ID, net.AP)
+	return c
+}
+
+// start begins injection and, at a positive rate, the loss overlay. A
+// detached overlay leaves the medium's DropFilter to the caller, which
+// routes deliveries to it through FilterFrame.
+func (c *stormCell) start(detached bool) {
+	c.inj.Start()
+	if c.rate > 0 {
+		c.ge = fault.NewGilbertElliott(c.w.eng, c.w.air, fault.GEConfig{LossBad: faultStormLossBad}, c.seed*31+7)
+		if detached {
+			c.ge.StartDetached()
+		} else {
+			c.ge.Start()
+		}
+	}
+}
+
+// quiesce stops injection and the loss overlay; the rest of the run is
+// the drain window.
+func (c *stormCell) quiesce() {
+	c.inj.Quiesce()
+	if c.ge != nil {
+		c.ge.Stop()
+	}
+}
+
+// writeTrace appends the cell's byte-stable fault + outage log to sb —
+// every injector event in engine order, then every client outage
+// episode in engine (closing) order, then any episodes still open at
+// the end — and returns how many were still open.
+func (c *stormCell) writeTrace(sb *strings.Builder) (open int) {
+	for _, e := range c.inj.Events {
+		sb.WriteString(e.Line())
+		sb.WriteByte('\n')
+	}
+	for _, l := range c.lines {
+		sb.WriteString(l)
+		sb.WriteByte('\n')
+	}
+	for _, cl := range c.net.Clients {
+		if rec, ok := cl.OpenOutage(); ok {
+			open++
+			sb.WriteString(rec.Line())
+			sb.WriteByte('\n')
+		}
+	}
+	return open
+}
+
+// stormRun is one in-flight FaultStorm cell: the built world, the cell
+// and everything finish needs. The quiesce stage is an engine event, so
+// the run can be advanced in arbitrary steps.
+type stormRun struct {
+	cfg  FaultStormCellConfig
+	w    *world
+	cell *stormCell
+	o    *obs.Observer
+	end  time.Duration
 
 	finished bool
 	result   faultStormCell
 }
 
 // buildFaultStorm constructs one storm cell at virtual time zero with
-// the quiesce stage pre-scheduled.
+// the quiesce stage pre-scheduled. o, when non-nil, is wired to the
+// engine, medium, MAC nodes, clients, AP, AP scanner and injector and
+// started before the storm.
 func buildFaultStorm(cfg FaultStormCellConfig, o *obs.Observer) *stormRun {
 	cfg = cfg.withDefaults()
-	seed, rate := cfg.Seed, cfg.Rate
-	w := newWorld(seed)
-	base := incumbent.SimulationBaseMap()
-	sensors := sensorsFor(base, faultStormClients, 0, nil, nil)
-	net := core.NewNetwork(w.eng, w.air, core.Config{Shedding: true}, sensors)
-	net.AP.Node.SetQueueLimit(faultStormQueue)
-	net.StartDownlink(1000)
-
-	r := &stormRun{cfg: cfg, w: w, net: net, o: o, end: cfg.Run}
-	for _, c := range net.Clients {
-		c.OnOutage = func(rec trace.OutageRecord) { r.lines = append(r.lines, rec.Line()) }
-	}
-
-	inj := fault.NewInjector(w.eng, fault.Config{Seed: seed, Rate: rate})
-	inj.AddTarget(net.AP.ID, net.AP)
-	r.inj = inj
+	w := newWorld(cfg.Seed)
+	c := newStormCell(w, cfg.Seed, cfg.Rate, core.Config{})
 	if o != nil {
 		o.Attach(w.eng)
 		obs.RegisterEngine(o.Reg, w.eng)
 		obs.RegisterAir(o.Reg, w.air)
-		nodes := []*mac.Node{net.AP.Node}
-		for _, c := range net.Clients {
-			nodes = append(nodes, c.Node)
+		nodes := []*mac.Node{c.net.AP.Node}
+		for _, cl := range c.net.Clients {
+			nodes = append(nodes, cl.Node)
 		}
 		obs.RegisterNodes(o.Reg, "mac", nodes)
-		obs.RegisterClients(o.Reg, net.Clients)
-		obs.RegisterAP(o.Reg, net.AP)
-		obs.RegisterScanner(o.Reg, "radio.ap", net.AP.Scanner)
-		obs.RegisterInjector(o.Reg, inj)
+		obs.RegisterClients(o.Reg, c.net.Clients)
+		obs.RegisterAP(o.Reg, c.net.AP)
+		obs.RegisterScanner(o.Reg, "radio.ap", c.net.AP.Scanner)
+		obs.RegisterInjector(o.Reg, c.inj)
 		o.Start()
 	}
-	inj.Start()
-	if rate > 0 {
-		r.ge = fault.NewGilbertElliott(w.eng, w.air, fault.GEConfig{LossBad: faultStormLossBad}, seed*31+7)
-		r.ge.Start()
-	}
+	c.start(false)
 
 	// Injection stops at quiesce; the remainder is the drain window.
 	// runAfterTies lands the stop behind every event queued at the
 	// quiesce instant, exactly where the old host loop placed it.
-	runAfterTies(w.eng, cfg.Quiesce, func() {
-		inj.Quiesce()
-		if r.ge != nil {
-			r.ge.Stop()
-		}
-	})
-	return r
+	runAfterTies(w.eng, cfg.Quiesce, c.quiesce)
+	return &stormRun{cfg: cfg, w: w, cell: c, o: o, end: cfg.Run}
 }
 
 // advanceTo runs the cell to virtual time t, clamped to the run end.
@@ -215,7 +265,7 @@ func (r *stormRun) finish() faultStormCell {
 		return r.result
 	}
 	r.finished = true
-	net, inj := r.net, r.inj
+	net := r.cell.net
 
 	cell := faultStormCell{
 		crashes: net.AP.Crashes,
@@ -223,21 +273,9 @@ func (r *stormRun) finish() faultStormCell {
 		goodput: float64(net.GoodputBytes()) * 8 / r.cfg.Run.Seconds(),
 	}
 	var sb strings.Builder
-	for _, e := range inj.Events {
-		sb.WriteString(e.Line())
-		sb.WriteByte('\n')
-	}
-	for _, l := range r.lines {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
+	cell.orphans = r.cell.writeTrace(&sb)
 	for _, c := range net.Clients {
 		cell.outages = append(cell.outages, c.Outages...)
-		if open, ok := c.OpenOutage(); ok {
-			cell.orphans++
-			sb.WriteString(open.Line())
-			sb.WriteByte('\n')
-		}
 	}
 	cell.shedDrops = net.AP.Node.Stats.ShedDropped
 	cell.trace = sb.String()

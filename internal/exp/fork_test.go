@@ -121,8 +121,8 @@ func TestForkSummaryCountsAddedBSSs(t *testing.T) {
 	}
 }
 
-// TestForkRejections pins the fork error surface: unknown ops, and
-// kinds that do not implement Editable.
+// TestForkRejections pins the fork error surface: unknown ops, edits
+// on tiledcity, and kinds that do not implement Editable.
 func TestForkRejections(t *testing.T) {
 	RegisterSessions()
 
@@ -138,6 +138,20 @@ func TestForkRejections(t *testing.T) {
 	}
 	if _, err := checkpoint.Fork(cp, []checkpoint.Edit{{Op: "no-such-op"}}, checkpoint.Options{}); err == nil {
 		t.Fatal("unknown edit op accepted")
+	}
+
+	traw, _ := json.Marshal(CitySpec{APs: 2, Tiles: 2, Seed: 1, SettleMS: 300, MeasureMS: 400})
+	tiled, err := checkpoint.Build("tiledcity", traw, checkpoint.Options{})
+	if err != nil {
+		t.Fatalf("build tiled: %v", err)
+	}
+	tiled.AdvanceTo(500 * time.Millisecond)
+	tcp, err := checkpoint.Capture(tiled)
+	if err != nil {
+		t.Fatalf("capture tiled: %v", err)
+	}
+	if _, err := checkpoint.Fork(tcp, []checkpoint.Edit{{Op: "add-aps", N: 1}}, checkpoint.Options{}); err == nil {
+		t.Fatal("add-aps accepted by tiledcity")
 	}
 
 	mraw, _ := json.Marshal(MixedSpec{Clients: 2, Seed: 1, SettleMS: 300, MeasureMS: 400})

@@ -4,17 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"sync"
 	"time"
 
 	"whitefi/internal/checkpoint"
 	"whitefi/internal/core"
-	"whitefi/internal/incumbent"
-	"whitefi/internal/mac"
 	"whitefi/internal/obs"
-	"whitefi/internal/spectrum"
 	"whitefi/internal/traffic"
 )
 
@@ -45,8 +41,8 @@ var sessionsOnce sync.Once
 // registry. Idempotent.
 func RegisterSessions() {
 	sessionsOnce.Do(func() {
-		checkpoint.Register("densecity", buildCitySession)
-		checkpoint.Register("tiledcity", buildTiledSession)
+		checkpoint.Register("densecity", citySessionBuilder("densecity"))
+		checkpoint.Register("tiledcity", citySessionBuilder("tiledcity"))
 		checkpoint.Register("mixedtraffic", buildMixedSession)
 		checkpoint.Register("faultstorm", buildStormSession)
 	})
@@ -153,33 +149,84 @@ type CityResult struct {
 	Digest string `json:"digest,omitempty"`
 }
 
-// citySession adapts cityRun to checkpoint.Session.
+// citySession adapts cityRun to checkpoint.Session, for both city
+// kinds.
 type citySession struct {
+	kind  string
 	spec  CitySpec
 	run   *cityRun
 	edits int
 }
 
-func buildCitySession(raw json.RawMessage, opt checkpoint.Options) (checkpoint.Session, error) {
-	var sp CitySpec
-	if err := json.Unmarshal(raw, &sp); err != nil {
-		return nil, fmt.Errorf("densecity spec: %w", err)
+// citySessionBuilder returns the checkpoint.Builder of a city kind:
+// "densecity" runs the continuous layout, "tiledcity" the tiled one
+// (tiles 0 selecting one tile).
+func citySessionBuilder(kind string) checkpoint.Builder {
+	tiled := kind == "tiledcity"
+	return func(raw json.RawMessage, opt checkpoint.Options) (checkpoint.Session, error) {
+		var sp CitySpec
+		if err := json.Unmarshal(raw, &sp); err != nil {
+			return nil, fmt.Errorf("%s spec: %w", kind, err)
+		}
+		if err := sp.validate(tiled); err != nil {
+			return nil, fmt.Errorf("%s spec: %w", kind, err)
+		}
+		cfg := sp.cityConfig(opt.SnapshotOut)
+		if tiled && cfg.Tiles == 0 {
+			cfg.Tiles = 1
+		}
+		return &citySession{kind: kind, spec: sp, run: buildCity(cfg)}, nil
 	}
-	if err := sp.validate(false); err != nil {
-		return nil, fmt.Errorf("densecity spec: %w", err)
-	}
-	return &citySession{spec: sp, run: buildDenseCity(sp.cityConfig(opt.SnapshotOut))}, nil
 }
 
-func (s *citySession) Kind() string              { return "densecity" }
+func (s *citySession) Kind() string              { return s.kind }
 func (s *citySession) Config() interface{}       { return s.spec }
 func (s *citySession) Now() time.Duration        { return s.run.now() }
 func (s *citySession) End() time.Duration        { return s.run.end }
 func (s *citySession) AdvanceTo(t time.Duration) { s.run.advanceTo(t) }
 
 func (s *citySession) Sections() []checkpoint.Section {
-	return citySections(s.run.w.eng.DigestState, s.run.w.eng.PendingCount(),
-		[]*mac.Air{s.run.w.air}, s.run.bss, s.run.mics)
+	r := s.run
+	nodes := 0
+	flows := 0
+	for _, b := range r.bss {
+		nodes += 1 + len(b.clients)
+		flows += len(b.flows)
+	}
+	return []checkpoint.Section{
+		checkpoint.HashSection("engine", r.clock.PendingCount(), r.clock.DigestState),
+		checkpoint.HashSection("air", len(r.airs), func(w io.Writer) {
+			for _, a := range r.airs {
+				a.DigestState(w)
+			}
+		}),
+		checkpoint.HashSection("mac", nodes, func(w io.Writer) {
+			for _, b := range r.bss {
+				b.ap.DigestState(w)
+				for _, cl := range b.clients {
+					cl.DigestState(w)
+				}
+			}
+		}),
+		checkpoint.HashSection("bss", len(r.bss), func(w io.Writer) {
+			for i, b := range r.bss {
+				cur, has := b.sel.Current()
+				fmt.Fprintf(w, "bss %d ch=%s sw=%d cur=%s/%t rx=%v\n", i, b.ap.Channel(), b.switches, cur, has, b.lastRx)
+			}
+		}),
+		checkpoint.HashSection("flows", flows, func(w io.Writer) {
+			for _, b := range r.bss {
+				for _, f := range b.flows {
+					f.DigestState(w)
+				}
+			}
+		}),
+		checkpoint.HashSection("mics", len(r.mics), func(w io.Writer) {
+			for _, m := range r.mics {
+				m.DigestState(w)
+			}
+		}),
+	}
 }
 
 func (s *citySession) Result() interface{} {
@@ -188,14 +235,18 @@ func (s *citySession) Result() interface{} {
 	}
 	res := s.run.finish()
 	res.WallClock = 0
-	return CityResult{Done: true, AtNS: int64(s.run.now()), Result: &res}
+	return CityResult{Done: true, AtNS: int64(s.run.now()), Result: &res, Digest: s.run.digest}
 }
 
-// Apply implements fork-time what-if edits. Op "add-aps" drops N new
-// BSSs (each with the config's clients and CBR flows) onto the city at
-// edit-seeded uniform positions; the fork's future diverges from the
-// control run only through their traffic.
+// Apply implements fork-time what-if edits on the continuous city. Op
+// "add-aps" drops N new BSSs (each with the config's clients and CBR
+// flows) onto the city at edit-seeded uniform positions; the fork's
+// future diverges from the control run only through their traffic.
+// The tiled city takes no edits.
 func (s *citySession) Apply(e checkpoint.Edit) error {
+	if s.run.shards > 0 {
+		return fmt.Errorf("%s supports no edits", s.kind)
+	}
 	switch e.Op {
 	case "add-aps":
 		if e.N < 1 || e.N > 256 {
@@ -209,11 +260,11 @@ func (s *citySession) Apply(e checkpoint.Edit) error {
 	}
 }
 
-// addBSS places n new BSSs with flows at the current instant, using
-// the same placement recipe as the build but an independent seed. New
-// BSSs carry traffic and count in the medium and the metrics, but do
-// not join the staggered assignment rounds (their channels stay where
-// the edit put them) — a pure what-if load injection.
+// addBSS places n new BSSs with flows at the current instant, with the
+// build's placement but an independent seed. New BSSs carry traffic and
+// count in the medium and the metrics, but do not join the staggered
+// assignment rounds (their channels stay where the edit put them) — a
+// pure what-if load injection.
 func (r *cityRun) addBSS(n int, seed int64) {
 	cfg := r.cfg
 	rng := rand.New(rand.NewSource(seed))
@@ -225,118 +276,12 @@ func (r *cityRun) addBSS(n int, seed int64) {
 		Seed: seed*977 + 13,
 		Base: traffic.Spec{Bytes: 1000, Interval: cfg.TrafficInterval},
 	}.Specs(n * cfg.ClientsPerAP)
-	si := 0
-	idx := len(r.bss)
 	for i := 0; i < n; i++ {
-		apID := denseCityIDBase + (idx+i)*(cfg.ClientsPerAP+1)
-		apPos := mac.Position{X: rng.Float64() * r.sideM, Y: rng.Float64() * r.sideM}
-		ch := spectrum.Chan(r.free[rng.Intn(len(r.free))], spectrum.W5)
-		b := &denseBSS{ids: map[int]bool{apID: true}}
-		b.ap = mac.NewNode(r.w.eng, r.w.air, apID, ch, true)
-		b.ap.SetPosition(apPos)
-		if cfg.QueueLimit > 0 {
-			b.ap.SetQueueLimit(cfg.QueueLimit)
-		}
-		for c := 0; c < cfg.ClientsPerAP; c++ {
-			id := apID + 1 + c
-			cl := mac.NewNode(r.w.eng, r.w.air, id, ch, false)
-			ang := rng.Float64() * 2 * math.Pi
-			d := 10 + rng.Float64()*30
-			cl.SetPosition(mac.Position{X: apPos.X + d*math.Cos(ang), Y: apPos.Y + d*math.Sin(ang)})
-			b.clients = append(b.clients, cl)
-			b.ids[id] = true
-			sender, receiver := traffic.Orient(specs[si], b.ap, cl)
-			f := traffic.NewFlow(r.w.eng, flowID, specs[si], sender, receiver)
-			f.Start()
-			b.flows = append(b.flows, f)
-			flowID++
-			si++
-		}
+		b := r.placeBSS(0, rng, specs[i*cfg.ClientsPerAP:(i+1)*cfg.ClientsPerAP], flowID)
+		flowID += cfg.ClientsPerAP
 		b.snapshotRx()
 		r.bss = append(r.bss, b)
 	}
-}
-
-// citySections digests a (continuous or tiled) city's state. engDigest
-// and engItems abstract over Engine vs ShardedEngine.
-func citySections(engDigest func(io.Writer), engItems int, airs []*mac.Air, bss []*denseBSS, mics []*incumbent.Mic) []checkpoint.Section {
-	nodes := 0
-	flows := 0
-	for _, b := range bss {
-		nodes += 1 + len(b.clients)
-		flows += len(b.flows)
-	}
-	return []checkpoint.Section{
-		checkpoint.HashSection("engine", engItems, engDigest),
-		checkpoint.HashSection("air", len(airs), func(w io.Writer) {
-			for _, a := range airs {
-				a.DigestState(w)
-			}
-		}),
-		checkpoint.HashSection("mac", nodes, func(w io.Writer) {
-			for _, b := range bss {
-				b.ap.DigestState(w)
-				for _, cl := range b.clients {
-					cl.DigestState(w)
-				}
-			}
-		}),
-		checkpoint.HashSection("bss", len(bss), func(w io.Writer) {
-			for i, b := range bss {
-				cur, has := b.sel.Current()
-				fmt.Fprintf(w, "bss %d ch=%s sw=%d cur=%s/%t rx=%v\n", i, b.ap.Channel(), b.switches, cur, has, b.lastRx)
-			}
-		}),
-		checkpoint.HashSection("flows", flows, func(w io.Writer) {
-			for _, b := range bss {
-				for _, f := range b.flows {
-					f.DigestState(w)
-				}
-			}
-		}),
-		checkpoint.HashSection("mics", len(mics), func(w io.Writer) {
-			for _, m := range mics {
-				m.DigestState(w)
-			}
-		}),
-	}
-}
-
-// tiledSession adapts tiledRun to checkpoint.Session.
-type tiledSession struct {
-	spec CitySpec
-	run  *tiledRun
-}
-
-func buildTiledSession(raw json.RawMessage, opt checkpoint.Options) (checkpoint.Session, error) {
-	var sp CitySpec
-	if err := json.Unmarshal(raw, &sp); err != nil {
-		return nil, fmt.Errorf("tiledcity spec: %w", err)
-	}
-	if err := sp.validate(true); err != nil {
-		return nil, fmt.Errorf("tiledcity spec: %w", err)
-	}
-	return &tiledSession{spec: sp, run: buildTiledCity(sp.cityConfig(opt.SnapshotOut))}, nil
-}
-
-func (s *tiledSession) Kind() string              { return "tiledcity" }
-func (s *tiledSession) Config() interface{}       { return s.spec }
-func (s *tiledSession) Now() time.Duration        { return s.run.now() }
-func (s *tiledSession) End() time.Duration        { return s.run.end }
-func (s *tiledSession) AdvanceTo(t time.Duration) { s.run.advanceTo(t) }
-
-func (s *tiledSession) Sections() []checkpoint.Section {
-	return citySections(s.run.se.DigestState, s.run.se.PendingCount(),
-		s.run.airs, s.run.bss, s.run.globalMics)
-}
-
-func (s *tiledSession) Result() interface{} {
-	if s.run.now() < s.run.end {
-		return CityResult{AtNS: int64(s.run.now())}
-	}
-	res, dg := s.run.finish()
-	res.WallClock = 0
-	return CityResult{Done: true, AtNS: int64(s.run.now()), Result: &res, Digest: dg}
 }
 
 // MixedSpec is the JSON scenario spec of the "mixedtraffic" session
@@ -541,26 +486,25 @@ func (s *stormSession) End() time.Duration        { return s.run.end }
 func (s *stormSession) AdvanceTo(t time.Duration) { s.run.advanceTo(t) }
 
 func (s *stormSession) Sections() []checkpoint.Section {
-	r := s.run
-	secs := []checkpoint.Section{
+	r, c := s.run, s.run.cell
+	return []checkpoint.Section{
 		checkpoint.HashSection("engine", r.w.eng.PendingCount(), r.w.eng.DigestState),
 		checkpoint.HashSection("air", r.w.air.NodeCount(), r.w.air.DigestState),
-		protocolSection(r.net),
-		checkpoint.HashSection("injector", r.inj.EventCount(), r.inj.DigestState),
+		protocolSection(c.net),
+		checkpoint.HashSection("injector", c.inj.EventCount(), c.inj.DigestState),
 		checkpoint.HashSection("loss", 0, func(w io.Writer) {
-			if r.ge == nil {
+			if c.ge == nil {
 				fmt.Fprintln(w, "ge nil")
 				return
 			}
-			r.ge.DigestState(w)
+			c.ge.DigestState(w)
 		}),
-		checkpoint.HashSection("outages", len(r.lines), func(w io.Writer) {
-			for _, l := range r.lines {
+		checkpoint.HashSection("outages", len(c.lines), func(w io.Writer) {
+			for _, l := range c.lines {
 				fmt.Fprintln(w, l)
 			}
 		}),
 	}
-	return secs
 }
 
 func (s *stormSession) Result() interface{} {

@@ -7,11 +7,8 @@ import (
 
 	"whitefi/internal/core"
 	"whitefi/internal/fault"
-	"whitefi/internal/incumbent"
 	"whitefi/internal/mac"
 	"whitefi/internal/phy"
-	"whitefi/internal/sim"
-	"whitefi/internal/trace"
 )
 
 // Sharded fault storm: Tiles independent stormed BSSs — each the full
@@ -87,48 +84,26 @@ type ShardedStormResult struct {
 func shardedStormTileSeed(seed int64, t int) int64 { return seed + 53*int64(t) }
 
 // ShardedStorm runs the tiled fault storm and returns the aggregate
-// result plus the combined byte-stable trace: per tile in tile order,
-// every injector event in engine order, then every client outage
-// episode in closing order, then any episodes still open at the end.
+// result plus the combined byte-stable trace: per tile in tile order, a
+// "== tile t ==" header and the cell's fault + outage log
+// (stormCell.writeTrace). Run and Quiesce default and clamp as in
+// FaultStormCellConfig.
 func ShardedStorm(cfg ShardedStormConfig) (ShardedStormResult, string) {
 	if cfg.Tiles < 1 {
 		cfg.Tiles = 2
 	}
-	shards := cfg.Shards
-	if shards < 1 || shards > cfg.Tiles {
-		shards = cfg.Tiles
-	}
-	runFor := cfg.Run
-	if runFor <= 0 {
-		runFor = faultStormRun
-	}
-	quiesce := cfg.Quiesce
-	if quiesce <= 0 || quiesce > runFor {
-		quiesce = faultStormQuiesce
-	}
-	if quiesce > runFor {
-		quiesce = runFor
-	}
+	cc := FaultStormCellConfig{Run: cfg.Run, Quiesce: cfg.Quiesce}.withDefaults()
 	start := time.Now()
 
-	prop := mac.LogDistance{}
-	se := sim.NewSharded(cfg.Seed, shards)
-	se.Workers = cfg.Workers
-	worlds := make([]*world, shards)
+	se, worlds := shardedWorlds(cfg.Seed, cfg.Tiles, cfg.Shards, cfg.Workers)
 	// geMux holds each shard medium's tile-indexed overlay table; the
 	// DropFilter installed on the medium routes by destination id.
-	geMux := make([][]*fault.GilbertElliott, shards)
-	for s := range worlds {
-		eng := se.Shard(s)
-		air := mac.NewAir(eng)
-		air.Retention = historyRetention
-		air.Prop = prop
-		air.PruneClock = se.Floor
-		worlds[s] = &world{eng: eng, air: air}
-		if cfg.Rate > 0 {
-			geMux[s] = make([]*fault.GilbertElliott, cfg.Tiles)
-			mux := geMux[s]
-			air.DropFilter = func(f phy.Frame, src, dst int) bool {
+	geMux := make([][]*fault.GilbertElliott, len(worlds))
+	if cfg.Rate > 0 {
+		for s, w := range worlds {
+			mux := make([]*fault.GilbertElliott, cfg.Tiles)
+			geMux[s] = mux
+			w.air.DropFilter = func(f phy.Frame, src, dst int) bool {
 				t := dst / shardedStormIDStride
 				if t < 0 || t >= len(mux) || mux[t] == nil {
 					return false
@@ -137,100 +112,65 @@ func ShardedStorm(cfg ShardedStormConfig) (ShardedStormResult, string) {
 			}
 		}
 	}
-	shardOf := func(t int) int { return t * shards / cfg.Tiles }
-	pitch := 2*mac.InteractionRange(prop, mac.DefaultTxPowerDBm) + tileGuardMargin
+	pitch := tileGuard()
 
-	base := incumbent.SimulationBaseMap()
-	type stormTile struct {
-		net   *core.Network
-		inj   *fault.Injector
-		ge    *fault.GilbertElliott
-		lines []string
-	}
-	tiles := make([]*stormTile, cfg.Tiles)
+	cells := make([]*stormCell, cfg.Tiles)
 	var positions []mac.Position
 	var groups []int
-	for t := 0; t < cfg.Tiles; t++ {
-		s := shardOf(t)
+	for t := range cells {
+		s := t * len(worlds) / cfg.Tiles
 		w := worlds[s]
-		tl := &stormTile{}
-		sensors := sensorsFor(base, faultStormClients, 0, nil, nil)
 		// The Rand hook must ride in the Config: the AP's first backup
 		// draw happens inside construction, before any SetRand call
 		// could land, and it must come from the AP's own stream or the
 		// choice depends on what else shares the engine.
-		tl.net = core.NewNetwork(w.eng, w.air, core.Config{
-			Shedding: true,
-			IDBase:   t * shardedStormIDStride,
-			Rand:     w.eng.RandFor,
-		}, sensors)
-		tl.net.AP.Node.SetQueueLimit(faultStormQueue)
-		origin := float64(t) * pitch
-		tl.net.AP.Node.SetPosition(mac.Position{X: origin})
-		positions = append(positions, mac.Position{X: origin})
-		groups = append(groups, s)
-		for i, c := range tl.net.Clients {
-			p := mac.Position{X: origin + shardedStormSpacing*float64(i+1)}
-			c.Node.SetPosition(p)
+		c := newStormCell(w, shardedStormTileSeed(cfg.Seed, t), cfg.Rate, core.Config{
+			IDBase: t * shardedStormIDStride,
+			Rand:   w.eng.RandFor,
+		})
+		// The AP at the tile origin, its clients in a row beside it.
+		nodes := []*mac.Node{c.net.AP.Node}
+		for _, cl := range c.net.Clients {
+			nodes = append(nodes, cl.Node)
+		}
+		for i, n := range nodes {
+			p := mac.Position{X: float64(t)*pitch + shardedStormSpacing*float64(i)}
+			n.SetPosition(p)
 			positions = append(positions, p)
 			groups = append(groups, s)
-			tl := tl
-			c.OnOutage = func(r trace.OutageRecord) { tl.lines = append(tl.lines, r.Line()) }
 		}
-		tl.net.StartDownlink(1000)
-		tileSeed := shardedStormTileSeed(cfg.Seed, t)
-		tl.inj = fault.NewInjector(w.eng, fault.Config{Seed: tileSeed, Rate: cfg.Rate})
-		tl.inj.AddTarget(tl.net.AP.ID, tl.net.AP)
-		tl.inj.Start()
-		if cfg.Rate > 0 {
-			tl.ge = fault.NewGilbertElliott(w.eng, w.air, fault.GEConfig{LossBad: faultStormLossBad}, tileSeed*31+7)
-			tl.ge.StartDetached()
-			geMux[s][t] = tl.ge
+		c.start(true)
+		if c.ge != nil {
+			geMux[s][t] = c.ge
 		}
-		tiles[t] = tl
+		cells[t] = c
 	}
-	if shards > 1 {
-		if i, j, ok := mac.VerifyPartition(positions, mac.DefaultTxPowerDBm, prop, groups); !ok {
-			panic(fmt.Sprintf("exp: tiled storm partition unsound: nodes %d and %d are cross-shard yet within interaction range", i, j))
-		}
+	if len(worlds) > 1 {
+		verifyPartition("storm", positions, groups)
 	}
 
-	se.RunUntil(quiesce)
-	for _, tl := range tiles {
-		tl.inj.Quiesce()
-		if tl.ge != nil {
-			tl.ge.Stop()
+	runAfterTies(se.Global(), cc.Quiesce, func() {
+		for _, c := range cells {
+			c.quiesce()
 		}
-	}
-	se.RunUntil(runFor)
+	})
+	se.RunUntil(cc.Run)
 
-	res := ShardedStormResult{Tiles: cfg.Tiles, Shards: shards}
+	res := ShardedStormResult{Tiles: cfg.Tiles, Shards: len(worlds)}
 	var sb strings.Builder
 	var bytesDelivered int64
-	for t, tl := range tiles {
+	for t, c := range cells {
 		fmt.Fprintf(&sb, "== tile %d ==\n", t)
-		for _, e := range tl.inj.Events {
-			sb.WriteString(e.Line())
-			sb.WriteByte('\n')
+		res.Orphans += c.writeTrace(&sb)
+		res.Crashes += c.net.AP.Crashes
+		res.Stalls += c.net.AP.Stalls
+		bytesDelivered += c.net.GoodputBytes()
+		for _, cl := range c.net.Clients {
+			res.Outages += len(cl.Outages)
 		}
-		for _, l := range tl.lines {
-			sb.WriteString(l)
-			sb.WriteByte('\n')
-		}
-		res.Crashes += tl.net.AP.Crashes
-		res.Stalls += tl.net.AP.Stalls
-		bytesDelivered += tl.net.GoodputBytes()
-		for _, c := range tl.net.Clients {
-			res.Outages += len(c.Outages)
-			if open, ok := c.OpenOutage(); ok {
-				res.Orphans++
-				sb.WriteString(open.Line())
-				sb.WriteByte('\n')
-			}
-		}
-		tl.net.Stop()
+		c.net.Stop()
 	}
-	res.GoodputMbps = float64(bytesDelivered) * 8 / runFor.Seconds() / 1e6
+	res.GoodputMbps = float64(bytesDelivered) * 8 / cc.Run.Seconds() / 1e6
 	res.WallClock = time.Since(start)
 	return res, sb.String()
 }
