@@ -204,8 +204,9 @@ func BenchmarkAblationAPWeight(b *testing.B) {
 // alloc-bound scenario benchmarks (DenseCity, Fig12, MixedTraffic),
 // small enough for a CI smoke job. scripts/alloc_gate.sh runs them and
 // fails on a >10% allocs/op regression against the committed
-// BENCH_<sha>.json baseline, so the zero-GC hot path (pooled events,
-// transmission arena, struct-of-arrays medium log) cannot silently rot.
+// scripts/alloc_gate_baseline.txt, so the zero-GC hot path (pooled
+// events, transmission arena, struct-of-arrays medium log) cannot
+// silently rot.
 func BenchmarkAllocGateDenseCity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		exp.DenseCityRun(exp.DenseCityConfig{APs: 50, Seed: 5})

@@ -5,20 +5,10 @@
 //	whitefi-bench -exp all
 //	whitefi-bench -exp table1,fig8,fig14 -reps 5
 //	whitefi-bench -exp densecity -cpuprofile cpu.pprof -memprofile mem.pprof
-//	whitefi-bench -exp none -metrics
 //
 // The -cpuprofile/-memprofile flags write pprof profiles covering the
 // selected experiment runs, so profiling a scenario needs no test
 // edits: `go tool pprof cpu.pprof` on the output.
-//
-// -metrics runs the two instrumented reference scenarios (the
-// mixed-traffic dense city and one fault-storm cell) with the
-// observability layer attached and prints their final snapshot
-// counters as a single {"domain_metrics":{...}} JSON line — collision,
-// drop and outage counts keyed dense.* / storm.*. scripts/bench.sh
-// folds that line into BENCH_<sha>.json so scripts/bench_trend.sh can
-// diff domain behavior across PRs alongside wall time and allocations.
-// -exp none skips the tables, leaving only the -metrics output.
 //
 // Experiment ids match DESIGN.md's per-experiment index: sec2.1, fig2,
 // sec2.3, fig5, table1, fig6, fig7, fig8, fig9, sec5.3, fig10, fig11,
@@ -34,76 +24,23 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"time"
 
 	"whitefi/internal/exp"
-	"whitefi/internal/obs"
 	"whitefi/internal/trace"
-	"whitefi/internal/traffic"
 )
 
-// emitDomainMetrics runs the instrumented reference pair — the
-// mixed-traffic dense city and one default-rate fault-storm cell —
-// and prints their final snapshot counters merged under dense./storm.
-// prefixes as one {"domain_metrics":{...}} JSON line (keys sorted by
-// json.Marshal).
-func emitDomainMetrics(w io.Writer) error {
-	merged := map[string]int64{}
-	collect := func(prefix string, o *obs.Observer) error {
-		var rec struct {
-			Counters map[string]int64 `json:"counters"`
-		}
-		if err := json.Unmarshal(o.MetricsJSON(), &rec); err != nil {
-			return fmt.Errorf("%s snapshot: %w", prefix, err)
-		}
-		for k, v := range rec.Counters {
-			merged[prefix+k] = v
-		}
-		return nil
-	}
-
-	// Period far beyond the run length: the only snapshot is the final
-	// Flush, which is all the trend diff needs.
-	do := &obs.Observer{Period: time.Hour}
-	exp.DenseCityRun(exp.DenseCityConfig{
-		APs: 30, Seed: 5,
-		Traffic: traffic.Models(), UplinkFrac: 0.3, QueueLimit: 128,
-		Obs: do,
-	})
-	if err := collect("dense.", do); err != nil {
-		return err
-	}
-	so := &obs.Observer{Period: time.Hour}
-	exp.FaultStormObserved(8191, 1, so)
-	if err := collect("storm.", so); err != nil {
-		return err
-	}
-
-	b, err := json.Marshal(struct {
-		DomainMetrics map[string]int64 `json:"domain_metrics"`
-	}{merged})
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "%s\n", b)
-	return err
-}
-
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiment ids, 'all', or 'none'")
+	expFlag := flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 	reps := flag.Int("reps", 3, "repetitions / random placements per data point")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken after the runs to this file")
-	metrics := flag.Bool("metrics", false, "run the instrumented dense-city + fault-storm pair and print one domain_metrics JSON line after the tables")
 	flag.Parse()
 	if *reps < 1 {
 		// Every table is a median over reps samples: none leaves it
@@ -181,9 +118,6 @@ func main() {
 	var ids []string
 	if *expFlag == "all" {
 		ids = order
-	} else if *expFlag == "none" {
-		// No tables: used by scripts/bench.sh to collect only the
-		// -metrics line.
 	} else {
 		for _, id := range strings.Split(*expFlag, ",") {
 			id = strings.TrimSpace(id)
@@ -204,13 +138,6 @@ func main() {
 		fmt.Printf("=== %s ===\n", id)
 		runners[id](*reps).Render(os.Stdout)
 		fmt.Println()
-	}
-
-	if *metrics {
-		if err := emitDomainMetrics(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			os.Exit(1)
-		}
 	}
 
 	if *memprofile != "" {

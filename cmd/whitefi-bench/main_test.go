@@ -46,7 +46,8 @@ func runBench(t *testing.T, args ...string) (int, string) {
 
 // TestRepsBelowOneRejected pins the usage error for -reps below 1:
 // exit status 2 and a message naming the flag, as for an unknown -exp
-// id, instead of empty tables (0) or a panic (negative).
+// id (also "none", which no longer exists), instead of empty tables
+// (0) or a panic (negative).
 func TestRepsBelowOneRejected(t *testing.T) {
 	for _, reps := range []string{"0", "-2"} {
 		code, stderr := runBench(t, "-exp", "fig2", "-reps", reps)
@@ -54,7 +55,9 @@ func TestRepsBelowOneRejected(t *testing.T) {
 			t.Errorf("-reps %s: exit %d, stderr %q; want exit 2 naming -reps", reps, code, stderr)
 		}
 	}
-	if code, stderr := runBench(t, "-exp", "nosuch"); code != 2 {
-		t.Errorf("unknown -exp: exit %d, stderr %q; want 2", code, stderr)
+	for _, id := range []string{"nosuch", "none"} {
+		if code, stderr := runBench(t, "-exp", id); code != 2 {
+			t.Errorf("unknown -exp %s: exit %d, stderr %q; want 2", id, code, stderr)
+		}
 	}
 }

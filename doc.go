@@ -20,7 +20,7 @@
 // inventory and per-experiment index, and EXPERIMENTS.md for
 // paper-vs-measured results. The root-level benchmarks (bench_test.go)
 // regenerate every table and figure of the paper's evaluation;
-// scripts/bench.sh emits the timings as JSON.
+// perfbench (named by BENCHMARK.json) is the speed benchmark.
 //
 // Performance knobs (see DESIGN.md "Hot-path architecture"):
 //

@@ -84,15 +84,6 @@ func faultStormRunCell(seed int64, rate float64) faultStormCell {
 	return r.finish()
 }
 
-// FaultStormObserved runs one seeded storm cell with the observer
-// attached (see buildFaultStorm), so the observer's final snapshot
-// carries the cell's domain counters.
-func FaultStormObserved(seed int64, rate float64, o *obs.Observer) {
-	r := buildFaultStorm(FaultStormCellConfig{Seed: seed, Rate: rate}, o)
-	r.advanceTo(r.end)
-	r.finish()
-}
-
 // FaultStormCellConfig parameterizes one hermetic storm cell. The zero
 // durations select the sweep's defaults (150 s run, quiesce at 95 s).
 type FaultStormCellConfig struct {
