@@ -382,6 +382,7 @@ func buildCity(cfg DenseCityConfig) *cityRun {
 		Base:       traffic.Spec{Bytes: 1000, Interval: cfg.TrafficInterval},
 	}.Specs(cfg.APs * cfg.ClientsPerAP)
 	flowID := 0
+	r.bss = make([]*denseBSS, 0, cfg.APs)
 	for t, tl := range r.tiles {
 		aps := cfg.APs / len(r.tiles)
 		if t < cfg.APs%len(r.tiles) {
@@ -427,7 +428,10 @@ func buildCity(cfg DenseCityConfig) *cityRun {
 		}
 	})
 	for i, b := range bss {
-		eng := r.tiles[b.tile].w.eng
+		// The copy lets the closures below capture b by value: a range
+		// variable they captured directly would move to the heap, one
+		// allocation per BSS.
+		b, eng := b, r.tiles[b.tile].w.eng
 		phase := cfg.AssignPeriod * time.Duration(i) / time.Duration(len(bss))
 		for t := cfg.Settle + cfg.AssignPeriod + phase; t < r.end; t += cfg.AssignPeriod {
 			eng.Schedule(t, func() { r.evaluate(b, true) })
