@@ -413,11 +413,10 @@ func buildCity(cfg DenseCityConfig) *cityRun {
 	// desynchronised probing of real independent APs, which lets each
 	// AP see its neighbors' moves instead of the whole city
 	// re-optimising against a stale snapshot in lockstep. The settle
-	// round and the mic samples ride runAfterTies so they observe
-	// exactly the state the old host loops saw after RunUntil; on the
-	// tiled layout each such coordinator event bounds a conservative
-	// window at its instant, as the old per-step RunUntil deadlines
-	// did. BSSs a fork adds later join neither.
+	// round and the mic samples ride runAfterTies, so they see every
+	// other event at their instant done; on the tiled layout each such
+	// coordinator event also bounds a conservative window there. BSSs a
+	// fork adds later join neither.
 	bss := r.bss
 	runAfterTies(r.coord, cfg.Settle, func() {
 		for _, b := range bss {

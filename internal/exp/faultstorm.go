@@ -192,12 +192,11 @@ func (c *stormCell) writeTrace(sb *strings.Builder) (open int) {
 	return open
 }
 
-// stormRun is one in-flight FaultStorm cell: the built world, the cell
+// stormRun is one in-flight FaultStorm cell: the cell on its own world
 // and everything finish needs. The quiesce stage is an engine event, so
 // the run can be advanced in arbitrary steps.
 type stormRun struct {
 	cfg  FaultStormCellConfig
-	w    *world
 	cell *stormCell
 	o    *obs.Observer
 	end  time.Duration
@@ -235,7 +234,7 @@ func buildFaultStorm(cfg FaultStormCellConfig, o *obs.Observer) *stormRun {
 	// runAfterTies lands the stop behind every event queued at the
 	// quiesce instant, exactly where the old host loop placed it.
 	runAfterTies(w.eng, cfg.Quiesce, c.quiesce)
-	return &stormRun{cfg: cfg, w: w, cell: c, o: o, end: cfg.Run}
+	return &stormRun{cfg: cfg, cell: c, o: o, end: cfg.Run}
 }
 
 // advanceTo runs the cell to virtual time t, clamped to the run end.
@@ -243,11 +242,11 @@ func (r *stormRun) advanceTo(t time.Duration) {
 	if t > r.end {
 		t = r.end
 	}
-	r.w.eng.RunUntil(t)
+	r.cell.w.eng.RunUntil(t)
 }
 
 // now returns the cell's current virtual time.
-func (r *stormRun) now() time.Duration { return r.w.eng.Now() }
+func (r *stormRun) now() time.Duration { return r.cell.w.eng.Now() }
 
 // finish summarizes the cell and tears the network down. Memoized:
 // only the first call mutates (observer flush, net.Stop).

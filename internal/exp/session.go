@@ -486,10 +486,10 @@ func (s *stormSession) End() time.Duration        { return s.run.end }
 func (s *stormSession) AdvanceTo(t time.Duration) { s.run.advanceTo(t) }
 
 func (s *stormSession) Sections() []checkpoint.Section {
-	r, c := s.run, s.run.cell
+	c := s.run.cell
 	return []checkpoint.Section{
-		checkpoint.HashSection("engine", r.w.eng.PendingCount(), r.w.eng.DigestState),
-		checkpoint.HashSection("air", r.w.air.NodeCount(), r.w.air.DigestState),
+		checkpoint.HashSection("engine", c.w.eng.PendingCount(), c.w.eng.DigestState),
+		checkpoint.HashSection("air", c.w.air.NodeCount(), c.w.air.DigestState),
 		protocolSection(c.net),
 		checkpoint.HashSection("injector", c.inj.EventCount(), c.inj.DigestState),
 		checkpoint.HashSection("loss", 0, func(w io.Writer) {
