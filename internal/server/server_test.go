@@ -231,9 +231,6 @@ func TestServerRejections(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/api/runs", `{"kind":"densecity","spec":{"aps":-3}}`, &out); code != http.StatusBadRequest {
 		t.Fatalf("bad spec: status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/api/runs", `{"kind":"densecity","spec":{"aps":4,"mobility":true}}`, &out); code != http.StatusBadRequest {
-		t.Fatalf("tiledcity-only field on densecity: status %d", code)
-	}
 	if code := postJSON(t, ts.URL+"/api/runs", `not json`, &out); code != http.StatusBadRequest {
 		t.Fatalf("bad body: status %d", code)
 	}
