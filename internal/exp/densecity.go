@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"time"
@@ -227,16 +226,6 @@ func runAfterTies(eng *sim.Engine, t time.Duration, fn func()) {
 	eng.Schedule(t, wrapped)
 }
 
-// cityClock advances and digests all of a city's engines as one: a
-// *sim.Engine on the continuous layout, a *sim.ShardedEngine on the
-// tiled one.
-type cityClock interface {
-	RunUntil(t time.Duration)
-	Now() time.Duration
-	DigestState(w io.Writer)
-	PendingCount() int
-}
-
 // cityTile is one square region of the city: the world that hosts it,
 // its geometry, the mic set its APs' selectors consult, and its client
 // walker and observability handles. The continuous city is one tile.
@@ -266,11 +255,12 @@ type cityRun struct {
 	start time.Time
 	end   time.Duration
 
-	// clock advances and digests every engine; coord runs the barrier
-	// stages (settle round, mic sampling, snapshots) — the continuous
-	// city's one engine, or the sharded engine's global one. shards is
-	// 0 on the continuous layout. rand is each node's backoff source.
-	clock  cityClock
+	// se is the tiled layout's sharded engine (nil on the continuous
+	// layout), which advances and digests every shard; coord runs the
+	// barrier stages (settle round, mic sampling, snapshots) — the
+	// continuous city's one engine, or se's global one. shards is 0 on
+	// the continuous layout. rand is each node's backoff source.
+	se     *sim.ShardedEngine
 	coord  *sim.Engine
 	shards int
 	airs   []*mac.Air
@@ -454,7 +444,7 @@ func buildCity(cfg DenseCityConfig) *cityRun {
 // backoff from the engine's shared stream.
 func (r *cityRun) layOutContinuous() {
 	w := spatialWorld(r.cfg.Seed)
-	r.clock, r.coord, r.airs = w.eng, w.eng, []*mac.Air{w.air}
+	r.coord, r.airs = w.eng, []*mac.Air{w.air}
 	r.rand = func(eng *sim.Engine, _ int) *rand.Rand { return eng.Rand() }
 	r.tiles = []*cityTile{{w: w, side: citySide(r.cfg, 1)}}
 }
@@ -676,11 +666,20 @@ func (r *cityRun) advanceTo(t time.Duration) {
 	if t > r.end {
 		t = r.end
 	}
-	r.clock.RunUntil(t)
+	if r.se != nil {
+		r.se.RunUntil(t)
+		return
+	}
+	r.coord.RunUntil(t)
 }
 
 // now returns the run's current virtual time (the coordinator clock).
-func (r *cityRun) now() time.Duration { return r.clock.Now() }
+func (r *cityRun) now() time.Duration {
+	if r.se != nil {
+		return r.se.Now()
+	}
+	return r.coord.Now()
+}
 
 // finish summarizes the completed run, and on the tiled layout renders
 // its canonical digest. It is memoized: the first call stops the

@@ -193,8 +193,12 @@ func (s *citySession) Sections() []checkpoint.Section {
 		nodes += 1 + len(b.clients)
 		flows += len(b.flows)
 	}
+	eng := checkpoint.HashSection("engine", r.coord.PendingCount(), r.coord.DigestState)
+	if r.se != nil {
+		eng = checkpoint.HashSection("engine", r.se.PendingCount(), r.se.DigestState)
+	}
 	return []checkpoint.Section{
-		checkpoint.HashSection("engine", r.clock.PendingCount(), r.clock.DigestState),
+		eng,
 		checkpoint.HashSection("air", len(r.airs), func(w io.Writer) {
 			for _, a := range r.airs {
 				a.DigestState(w)

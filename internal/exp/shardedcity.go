@@ -108,7 +108,7 @@ func verifyPartition(what string, positions []mac.Position, groups []int) {
 func (r *cityRun) layOutTiles() {
 	cfg := r.cfg
 	se, worlds := shardedWorlds(cfg.Seed, cfg.Tiles, cfg.Shards, cfg.Workers)
-	r.clock, r.coord, r.shards = se, se.Global(), len(worlds)
+	r.se, r.coord, r.shards = se, se.Global(), len(worlds)
 	for _, w := range worlds {
 		r.airs = append(r.airs, w.air)
 	}
