@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -52,8 +51,8 @@ func (s *fakeSession) AdvanceTo(t time.Duration) {
 }
 func (s *fakeSession) Sections() []Section {
 	return []Section{
-		HashSection("counter", s.draws, func(w io.Writer) {
-			fmt.Fprintf(w, "state=%d draws=%d now=%d\n", s.state, s.draws, s.now)
+		HashSection("counter", s.draws, func(d *Digest) {
+			d.Row("counter").Uint("state", s.state).Int("draws", int64(s.draws)).Int("now", int64(s.now)).End()
 		}),
 	}
 }

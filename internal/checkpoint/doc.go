@@ -18,6 +18,12 @@
 // comparing — a restored run that would not continue bit-identically
 // is rejected, never silently divergent.
 //
+// Every section renders its state through Digest, one line appender
+// that holds the canonical text format: strconv renderings byte-equal
+// to the fmt verbs the digests were first defined with, built in a
+// bounded buffer that feeds the hash, so digesting a section costs no
+// allocation per line.
+//
 // The on-disk format is JSONL: a header line with a format version, a
 // config line, one line per section, and a trailer carrying a line
 // count and a checksum over the body, so truncated or corrupted files

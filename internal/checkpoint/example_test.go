@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -41,8 +40,8 @@ func (s *tickSession) AdvanceTo(t time.Duration) {
 }
 func (s *tickSession) Sections() []checkpoint.Section {
 	return []checkpoint.Section{
-		checkpoint.HashSection("ticker", 1, func(w io.Writer) {
-			fmt.Fprintf(w, "sum=%d now=%d\n", s.sum, s.now)
+		checkpoint.HashSection("ticker", 1, func(d *checkpoint.Digest) {
+			d.Row("ticker").Int("sum", int64(s.sum)).Int("now", int64(s.now)).End()
 		}),
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
 	"whitefi/internal/checkpoint"
 	"whitefi/internal/core"
 	"whitefi/internal/obs"
+	"whitefi/internal/spectrum"
 	"whitefi/internal/traffic"
 )
 
@@ -199,38 +201,55 @@ func (s *citySession) Sections() []checkpoint.Section {
 	}
 	return []checkpoint.Section{
 		eng,
-		checkpoint.HashSection("air", len(r.airs), func(w io.Writer) {
+		checkpoint.HashSection("air", len(r.airs), func(d *checkpoint.Digest) {
 			for _, a := range r.airs {
-				a.DigestState(w)
+				a.DigestState(d)
 			}
 		}),
-		checkpoint.HashSection("mac", nodes, func(w io.Writer) {
+		checkpoint.HashSection("mac", nodes, func(d *checkpoint.Digest) {
 			for _, b := range r.bss {
-				b.ap.DigestState(w)
+				b.ap.DigestState(d)
 				for _, cl := range b.clients {
-					cl.DigestState(w)
+					cl.DigestState(d)
 				}
 			}
 		}),
-		checkpoint.HashSection("bss", len(r.bss), func(w io.Writer) {
-			for i, b := range r.bss {
-				cur, has := b.sel.Current()
-				fmt.Fprintf(w, "bss %d ch=%s sw=%d cur=%s/%t rx=%v\n", i, b.ap.Channel(), b.switches, cur, has, b.lastRx)
-			}
-		}),
-		checkpoint.HashSection("flows", flows, func(w io.Writer) {
+		checkpoint.HashSection("bss", len(r.bss), r.digestBSS),
+		checkpoint.HashSection("flows", flows, func(d *checkpoint.Digest) {
 			for _, b := range r.bss {
 				for _, f := range b.flows {
-					f.DigestState(w)
+					f.DigestState(d)
 				}
 			}
 		}),
-		checkpoint.HashSection("mics", len(r.mics), func(w io.Writer) {
+		checkpoint.HashSection("mics", len(r.mics), func(d *checkpoint.Digest) {
 			for _, m := range r.mics {
-				m.DigestState(w)
+				m.DigestState(d)
 			}
 		}),
 	}
+}
+
+// digestBSS renders the bss section: each BSS's operating channel,
+// switch count, selector state and goodput baselines.
+func (r *cityRun) digestBSS(d *checkpoint.Digest) {
+	for i, b := range r.bss {
+		cur, has := b.sel.Current()
+		d.Row("bss").Num(int64(i)).Text("ch", b.ap.Channel()).Int("sw", int64(b.switches)).
+			Text("cur", heldChannel{cur, has}).Ints("rx", b.lastRx).End()
+	}
+}
+
+// heldChannel is a selector's current channel and whether it holds
+// one, as the bss section renders it: "(uhf26, 5MHz)/true".
+type heldChannel struct {
+	ch spectrum.Channel
+	ok bool
+}
+
+// AppendTo implements checkpoint.Appender.
+func (h heldChannel) AppendTo(b []byte) []byte {
+	return strconv.AppendBool(append(h.ch.AppendTo(b), '/'), h.ok)
 }
 
 func (s *citySession) Result() interface{} {
@@ -376,14 +395,14 @@ func (s *mixedSession) Sections() []checkpoint.Section {
 		checkpoint.HashSection("engine", r.w.eng.PendingCount(), r.w.eng.DigestState),
 		checkpoint.HashSection("air", r.w.air.NodeCount(), r.w.air.DigestState),
 		protocolSection(r.net),
-		checkpoint.HashSection("flows", len(r.flows), func(w io.Writer) {
+		checkpoint.HashSection("flows", len(r.flows), func(d *checkpoint.Digest) {
 			for _, f := range r.flows {
-				f.DigestState(w)
+				f.DigestState(d)
 			}
 		}),
-		checkpoint.HashSection("mics", len(r.mics), func(w io.Writer) {
+		checkpoint.HashSection("mics", len(r.mics), func(d *checkpoint.Digest) {
 			for _, m := range r.mics {
-				m.DigestState(w)
+				m.DigestState(d)
 			}
 		}),
 	}
@@ -399,10 +418,10 @@ func (s *mixedSession) Result() interface{} {
 
 // protocolSection digests a network's AP and client state machines.
 func protocolSection(net *core.Network) checkpoint.Section {
-	return checkpoint.HashSection("protocol", 1+len(net.Clients), func(w io.Writer) {
-		net.AP.DigestState(w)
+	return checkpoint.HashSection("protocol", 1+len(net.Clients), func(d *checkpoint.Digest) {
+		net.AP.DigestState(d)
 		for _, c := range net.Clients {
-			c.DigestState(w)
+			c.DigestState(d)
 		}
 	})
 }
@@ -496,18 +515,25 @@ func (s *stormSession) Sections() []checkpoint.Section {
 		checkpoint.HashSection("air", c.w.air.NodeCount(), c.w.air.DigestState),
 		protocolSection(c.net),
 		checkpoint.HashSection("injector", c.inj.EventCount(), c.inj.DigestState),
-		checkpoint.HashSection("loss", 0, func(w io.Writer) {
-			if c.ge == nil {
-				fmt.Fprintln(w, "ge nil")
-				return
-			}
-			c.ge.DigestState(w)
-		}),
-		checkpoint.HashSection("outages", len(c.lines), func(w io.Writer) {
-			for _, l := range c.lines {
-				fmt.Fprintln(w, l)
-			}
-		}),
+		checkpoint.HashSection("loss", 0, c.digestLoss),
+		checkpoint.HashSection("outages", len(c.lines), c.digestOutages),
+	}
+}
+
+// digestLoss renders the loss section: the Gilbert–Elliott overlay,
+// or "ge nil" for a fault-free cell that runs none.
+func (c *stormCell) digestLoss(d *checkpoint.Digest) {
+	if c.ge == nil {
+		d.Line("ge nil")
+		return
+	}
+	c.ge.DigestState(d)
+}
+
+// digestOutages renders the outages section: every outage line so far.
+func (c *stormCell) digestOutages(d *checkpoint.Digest) {
+	for _, l := range c.lines {
+		d.Line(l)
 	}
 }
 

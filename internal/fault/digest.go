@@ -1,11 +1,8 @@
 package fault
 
-import (
-	"fmt"
-	"io"
-)
+import "whitefi/internal/checkpoint"
 
-// DigestState writes the injector's canonical state to w, for
+// DigestState writes the injector's canonical state to d, for
 // checkpoint section digests: the configuration identity, run/stop
 // generation, every fired fault event in engine order (the
 // determinism-pinned fault trace), and each registered target's
@@ -14,14 +11,14 @@ import (
 // positions are pinned transitively by the fired-event record plus the
 // engine's pending-event digest, which carries the next scheduled
 // fault of every stream.
-func (in *Injector) DigestState(w io.Writer) {
-	fmt.Fprintf(w, "inj seed=%d rate=%v running=%t gen=%d targets=%d events=%d\n",
-		in.Cfg.Seed, in.Cfg.Rate, in.running, in.gen, len(in.targets), len(in.Events))
+func (in *Injector) DigestState(d *checkpoint.Digest) {
+	d.Row("inj").Int("seed", in.Cfg.Seed).Float("rate", in.Cfg.Rate).Bool("running", in.running).
+		Int("gen", int64(in.gen)).Int("targets", int64(len(in.targets))).Int("events", int64(len(in.Events))).End()
 	for _, e := range in.Events {
-		fmt.Fprintf(w, "%s\n", e.Line())
+		d.Line(e.Line())
 	}
 	for _, t := range in.targets {
-		fmt.Fprintf(w, "target id=%d down=%t\n", t.id, t.down)
+		d.Row("target").Int("id", int64(t.id)).Bool("down", t.down).End()
 	}
 }
 
@@ -29,12 +26,13 @@ func (in *Injector) DigestState(w io.Writer) {
 // of the injector's checkpoint section.
 func (in *Injector) EventCount() int { return len(in.Events) }
 
-// DigestState writes the loss overlay's canonical state to w: the
+// DigestState writes the loss overlay's canonical state to d: the
 // configuration, the running flag, and the current Gilbert–Elliott
 // channel state. The flip/filter RNG position is excluded like every
 // other RNG stream; it is pinned transitively by the medium's
 // FilterDrops counter and delivery record.
-func (g *GilbertElliott) DigestState(w io.Writer) {
-	fmt.Fprintf(w, "ge lossgood=%v lossbad=%v bad=%t running=%t detached=%t drops=%d deliveries=%d\n",
-		g.Cfg.LossGood, g.Cfg.LossBad, g.bad, g.running, g.detached, g.Drops, g.Deliveries)
+func (g *GilbertElliott) DigestState(d *checkpoint.Digest) {
+	d.Row("ge").Float("lossgood", g.Cfg.LossGood).Float("lossbad", g.Cfg.LossBad).Bool("bad", g.bad).
+		Bool("running", g.running).Bool("detached", g.detached).Int("drops", int64(g.Drops)).
+		Int("deliveries", int64(g.Deliveries)).End()
 }

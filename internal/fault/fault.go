@@ -1,8 +1,8 @@
 package fault
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"whitefi/internal/dynamics"
@@ -32,8 +32,10 @@ type Event struct {
 
 // Line renders the event as one stable trace line.
 func (e Event) Line() string {
-	return fmt.Sprintf("t=%.3f kind=%s target=%d dur=%.3f",
-		e.At.Seconds(), e.Kind, e.Target, e.Dur.Seconds())
+	b := strconv.AppendFloat(append(make([]byte, 0, 48), "t="...), e.At.Seconds(), 'f', 3, 64)
+	b = append(append(b, " kind="...), e.Kind...)
+	b = strconv.AppendInt(append(b, " target="...), int64(e.Target), 10)
+	return string(strconv.AppendFloat(append(b, " dur="...), e.Dur.Seconds(), 'f', 3, 64))
 }
 
 // Default fault-schedule means (see Config).

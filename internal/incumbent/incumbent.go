@@ -1,12 +1,11 @@
 package incumbent
 
 import (
-	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"time"
 
+	"whitefi/internal/checkpoint"
 	"whitefi/internal/mac"
 	"whitefi/internal/sim"
 	"whitefi/internal/spectrum"
@@ -288,10 +287,10 @@ func (m *Mic) ScheduleOn(at time.Duration) { m.eng.Schedule(at, m.TurnOn) }
 // ScheduleOff turns the microphone off at virtual time at.
 func (m *Mic) ScheduleOff(at time.Duration) { m.eng.Schedule(at, m.TurnOff) }
 
-// DigestState writes the microphone's canonical state to w, for
+// DigestState writes the microphone's canonical state to d, for
 // checkpoint section digests: its channel and current activity.
 // Scheduled on/off transitions live in the engine's pending-event
 // digest, not here.
-func (m *Mic) DigestState(w io.Writer) {
-	fmt.Fprintf(w, "mic u=%d active=%t\n", m.Channel, m.active)
+func (m *Mic) DigestState(d *checkpoint.Digest) {
+	d.Row("mic").Int("u", int64(m.Channel)).Bool("active", m.active).End()
 }

@@ -59,6 +59,9 @@ type worldConfig struct {
 	// shuffled by an RNG of this seed. Every node is drawn before the
 	// first attach, so the shuffle leaves the world itself unchanged.
 	attachSeed int64
+	// probe, when non-nil, is handed the production medium before any
+	// node attaches (tests schedule inspections on its engine).
+	probe func(a *Air)
 }
 
 // worldModels are the propagation models the randomized worlds run
@@ -112,6 +115,9 @@ func worldEvents(prop Propagation, seed int64, cfg worldConfig) ([]string, AirCo
 			// Build the grid while the medium is empty, so every attach
 			// below inserts into a live index and shifts node indices.
 			air.NodesNear(Position{}, 1)
+		}
+		if cfg.probe != nil {
+			cfg.probe(air)
 		}
 		m = airMedium{air}
 	}

@@ -1,26 +1,26 @@
 package mac
 
 import (
-	"fmt"
-	"io"
 	"sort"
 
+	"whitefi/internal/checkpoint"
 	"whitefi/internal/phy"
 )
 
 // DigestState writes a canonical rendition of the medium's live state
-// to w, for checkpoint section digests: the outcome counters, every
+// to d, for checkpoint section digests: the outcome counters, every
 // attached node's tuning (id, channel, position, role, carrier-sense
 // count), every in-flight transmission, the full struct-of-arrays
 // transmission log in start order, and the arena occupancy. Two media
 // built by the same deterministic scenario at the same virtual time
 // render byte-identically, so an FNV digest of this stream pins the
 // whole physical layer.
-func (a *Air) DigestState(w io.Writer) {
+func (a *Air) DigestState(d *checkpoint.Digest) {
 	c := a.Counters
-	fmt.Fprintf(w, "air launches=%d delivered=%d below=%d half=%d coll=%d filter=%d nextuid=%d log=%d arena=%d/%d\n",
-		c.Launches, c.Delivered, c.BelowFloor, c.HalfDuplex, c.Collisions, c.FilterDrops,
-		a.nextUID, len(a.logStart), a.ArenaLive(), a.ArenaCap())
+	d.Row("air").Int("launches", c.Launches).Int("delivered", c.Delivered).Int("below", c.BelowFloor).
+		Int("half", c.HalfDuplex).Int("coll", c.Collisions).Int("filter", c.FilterDrops).
+		Uint("nextuid", a.nextUID).Int("log", int64(len(a.logStart))).
+		Pair("arena", int64(a.ArenaLive()), int64(a.ArenaCap())).End()
 	ids := make([]int, 0, len(a.pos))
 	for id := range a.pos {
 		ids = append(ids, id)
@@ -28,24 +28,27 @@ func (a *Air) DigestState(w io.Writer) {
 	sort.Ints(ids)
 	for _, id := range ids {
 		p := a.pos[id]
-		fmt.Fprintf(w, "pos id=%d x=%v y=%v\n", id, p.X, p.Y)
+		d.Row("pos").Int("id", int64(id)).Float("x", p.X).Float("y", p.Y).End()
 	}
 	for _, n := range a.nodes {
-		fmt.Fprintf(w, "node id=%d ch=%d/%d ap=%t sensed=%d txuntil=%d span=%v\n",
-			n.id, n.channel.Center, n.channel.Width, n.isAP, n.sensedCnt, int64(n.txUntil), n.span)
+		d.Row("node").Int("id", int64(n.id)).Pair("ch", int64(n.channel.Center), int64(n.channel.Width)).
+			Bool("ap", n.isAP).Int("sensed", int64(n.sensedCnt)).Int("txuntil", int64(n.txUntil))
+		checkpoint.List(d, "span", n.span).End()
 	}
 	for _, at := range a.active {
 		tx := at.tx
-		fmt.Fprintf(w, "active uid=%d src=%d ch=%d/%d start=%d end=%d pwr=%v nocs=%t sensed=%d\n",
-			tx.UID, tx.Src, tx.Channel.Center, tx.Channel.Width,
-			int64(tx.Start), int64(tx.End), tx.PowerDB, tx.NoCS, len(at.sensed))
+		d.Row("active").Uint("uid", tx.UID).Int("src", int64(tx.Src)).
+			Pair("ch", int64(tx.Channel.Center), int64(tx.Channel.Width)).
+			Int("start", int64(tx.Start)).Int("end", int64(tx.End)).Float("pwr", tx.PowerDB).
+			Bool("nocs", tx.NoCS).Int("sensed", int64(len(at.sensed))).End()
 	}
 	for i := range a.logStart {
-		f := a.logFrame[i]
-		fmt.Fprintf(w, "tx uid=%d src=%d ch=%d/%d start=%d end=%d pwr=%v nocs=%t x=%v y=%v kind=%d dst=%d bytes=%d seq=%d\n",
-			a.logUID[i], a.logSrc[i], a.logCh[i].Center, a.logCh[i].Width,
-			int64(a.logStart[i]), int64(a.logEnd[i]), a.logPower[i], a.logNoCS[i],
-			a.logSrcPos[i].X, a.logSrcPos[i].Y, f.Kind, f.Dst, f.Bytes, f.Seq)
+		ch, p, f := a.logCh[i], a.logSrcPos[i], &a.logFrame[i]
+		d.Row("tx").Uint("uid", a.logUID[i]).Int("src", int64(a.logSrc[i])).
+			Pair("ch", int64(ch.Center), int64(ch.Width)).
+			Int("start", int64(a.logStart[i])).Int("end", int64(a.logEnd[i])).
+			Float("pwr", a.logPower[i]).Bool("nocs", a.logNoCS[i]).Float("x", p.X).Float("y", p.Y).
+			Int("kind", int64(f.Kind)).Int("dst", int64(f.Dst)).Int("bytes", int64(f.Bytes)).Uint("seq", f.Seq).End()
 	}
 }
 
@@ -53,34 +56,36 @@ func (a *Air) DigestState(w io.Writer) {
 // the medium's checkpoint section.
 func (a *Air) NodeCount() int { return len(a.nodes) }
 
-// DigestState writes the node's canonical MAC state to w: the DCF
+// DigestState writes the node's canonical MAC state to d: the DCF
 // machine (state, contention window, backoff slots, retry count), the
 // bounded egress queue contents, the pending/current frame registers,
 // and the delivery statistics. Together with Air.DigestState this
 // covers every mutable field the transceiver owns; the node's backoff
 // RNG position is excluded like every other RNG stream (see
 // sim.Engine.DigestState).
-func (n *Node) DigestState(w io.Writer) {
-	fmt.Fprintf(w, "mac id=%d ap=%t ch=%d/%d pwr=%v st=%d cw=%d slots=%d retries=%d seq=%d txgen=%d down=%t hold=%t shed=%t maxq=%d\n",
-		n.ID, n.IsAP, n.channel.Center, n.channel.Width, n.Power,
-		n.state, n.cw, n.slotsLeft, n.retries, n.seq, n.txGen,
-		n.down, n.holdData, n.shed, n.maxQueue)
-	fmt.Fprintf(w, "mac pending=%t cur=%t q=%d\n", n.hasPending, n.state == stTransmitting, len(n.queue))
+func (n *Node) DigestState(d *checkpoint.Digest) {
+	d.Row("mac").Int("id", int64(n.ID)).Bool("ap", n.IsAP).Pair("ch", int64(n.channel.Center), int64(n.channel.Width)).
+		Float("pwr", n.Power).Int("st", int64(n.state)).Int("cw", int64(n.cw)).Int("slots", int64(n.slotsLeft)).
+		Int("retries", int64(n.retries)).Uint("seq", n.seq).Uint("txgen", n.txGen).
+		Bool("down", n.down).Bool("hold", n.holdData).Bool("shed", n.shed).Int("maxq", int64(n.maxQueue)).End()
+	d.Row("mac").Bool("pending", n.hasPending).Bool("cur", n.state == stTransmitting).Int("q", int64(len(n.queue))).End()
 	if n.hasPending {
-		writeFrame(w, "pendf", n.pending)
+		writeFrame(d, "pendf", &n.pending)
 	}
-	for _, f := range n.queue {
-		writeFrame(w, "qf", f)
+	for i := range n.queue {
+		writeFrame(d, "qf", &n.queue[i])
 	}
-	s := n.Stats
-	fmt.Fprintf(w, "stats tx=%d ok=%d drop=%d bc=%d rx=%d rxb=%d rxf=%d ackto=%d pay=%d qdrop=%d shed=%d lastrx=%d lasttx=%d del=%d\n",
-		s.TxData, s.TxOK, s.TxDropped, s.TxBroadcast, s.RxData, s.RxBytes, s.RxFrames,
-		s.AckTimeouts, s.PayloadRxOK, s.QueueDropped, s.ShedDropped,
-		int64(s.LastRxAt), int64(s.LastTxOKAt), s.DeliveredData)
+	s := &n.Stats
+	d.Row("stats").Int("tx", int64(s.TxData)).Int("ok", int64(s.TxOK)).Int("drop", int64(s.TxDropped)).
+		Int("bc", int64(s.TxBroadcast)).Int("rx", int64(s.RxData)).Int("rxb", s.RxBytes).Int("rxf", int64(s.RxFrames)).
+		Int("ackto", int64(s.AckTimeouts)).Int("pay", s.PayloadRxOK).Int("qdrop", int64(s.QueueDropped)).
+		Int("shed", int64(s.ShedDropped)).Int("lastrx", int64(s.LastRxAt)).Int("lasttx", int64(s.LastTxOKAt)).
+		Int("del", int64(s.DeliveredData)).End()
 }
 
 // writeFrame renders one frame's identity fields (Meta payloads are
 // protocol state digested by their owning layer).
-func writeFrame(w io.Writer, tag string, f phy.Frame) {
-	fmt.Fprintf(w, "%s kind=%d src=%d dst=%d bytes=%d seq=%d\n", tag, f.Kind, f.Src, f.Dst, f.Bytes, f.Seq)
+func writeFrame(d *checkpoint.Digest, tag string, f *phy.Frame) {
+	d.Row(tag).Int("kind", int64(f.Kind)).Int("src", int64(f.Src)).Int("dst", int64(f.Dst)).
+		Int("bytes", int64(f.Bytes)).Uint("seq", f.Seq).End()
 }

@@ -1,13 +1,14 @@
 package sim
 
 import (
-	"fmt"
-	"io"
+	"slices"
 	"sort"
+
+	"whitefi/internal/checkpoint"
 )
 
 // DigestState writes a canonical rendition of the engine's live state
-// to w, for checkpoint section digests. It covers the clock, sequence
+// to d, for checkpoint section digests. It covers the clock, sequence
 // counter, dispatch count, pool occupancy, and every pending event in
 // firing order (time, sequence, callback shape, and argument — the
 // callback closure itself is code, not state, so two engines built by
@@ -19,9 +20,9 @@ import (
 // replaying the run, and any positional divergence surfaces in the
 // event queue or downstream section digests instead. See DESIGN.md
 // "Checkpoint & serving".
-func (e *Engine) DigestState(w io.Writer) {
-	fmt.Fprintf(w, "sim now=%d seq=%d dispatched=%d pending=%d free=%d seed=%d\n",
-		int64(e.now), e.seq, e.dispatched, len(e.queue), len(e.free), e.seed)
+func (e *Engine) DigestState(d *checkpoint.Digest) {
+	d.Row("sim").Int("now", int64(e.now)).Uint("seq", e.seq).Uint("dispatched", e.dispatched).
+		Int("pending", int64(len(e.queue))).Int("free", int64(len(e.free))).Int("seed", e.seed).End()
 	evs := make([]slot, len(e.queue))
 	copy(evs, e.queue)
 	sort.Slice(evs, func(i, j int) bool { return evs[i].before(&evs[j]) })
@@ -30,14 +31,14 @@ func (e *Engine) DigestState(w io.Writer) {
 		if s.ev.argFn != nil {
 			kind = "arg"
 		}
-		fmt.Fprintf(w, "ev at=%d seq=%d kind=%s arg=%d\n", int64(s.at), s.seq, kind, s.ev.arg)
+		d.Row("ev").Int("at", int64(s.at)).Uint("seq", s.seq).Str("kind", kind).Uint("arg", s.ev.arg).End()
 	}
-	ids := make([]int, 0, len(e.nodeRngs))
+	ids := make([]int64, 0, len(e.nodeRngs))
 	for id := range e.nodeRngs {
-		ids = append(ids, id)
+		ids = append(ids, int64(id))
 	}
-	sort.Ints(ids)
-	fmt.Fprintf(w, "rng streams=%d ids=%v\n", len(ids), ids)
+	slices.Sort(ids)
+	d.Row("rng").Int("streams", int64(len(ids))).Ints("ids", ids).End()
 }
 
 // PendingCount reports the number of queued (not yet fired) events —
@@ -47,12 +48,12 @@ func (e *Engine) PendingCount() int { return len(e.queue) }
 // DigestState writes the canonical state of every member engine:
 // the global engine first, then each shard in shard order, prefixed
 // with a header carrying the shard layout and barrier floor.
-func (s *ShardedEngine) DigestState(w io.Writer) {
-	fmt.Fprintf(w, "sharded shards=%d floor=%d\n", len(s.shards), int64(s.floor))
-	s.global.DigestState(w)
+func (s *ShardedEngine) DigestState(d *checkpoint.Digest) {
+	d.Row("sharded").Int("shards", int64(len(s.shards))).Int("floor", int64(s.floor)).End()
+	s.global.DigestState(d)
 	for i, sh := range s.shards {
-		fmt.Fprintf(w, "shard %d\n", i)
-		sh.DigestState(w)
+		d.Row("shard").Num(int64(i)).End()
+		sh.DigestState(d)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"whitefi/internal/checkpoint"
 )
 
 // refEvent is one pending event of the reference queue.
@@ -224,7 +226,9 @@ func queueProgram(seed int64, n int) error {
 			}
 		}
 		var got bytes.Buffer
-		e.DigestState(&got)
+		d := checkpoint.NewDigest(&got)
+		e.DigestState(d)
+		d.Flush()
 		if want := ref.digest(engSeed); !bytes.Equal(got.Bytes(), want) {
 			failf("step %d: DigestState\n%s\nwant\n%s", step, got.Bytes(), want)
 		}

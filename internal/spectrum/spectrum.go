@@ -2,6 +2,7 @@ package spectrum
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -64,7 +65,12 @@ func (u UHF) CenterMHz() float64 {
 
 // String returns a human-readable name such as "uhf26" using the TV
 // channel number.
-func (u UHF) String() string { return fmt.Sprintf("uhf%d", u.TV()) }
+func (u UHF) String() string { return string(u.AppendTo(nil)) }
+
+// AppendTo appends u's String text to b.
+func (u UHF) AppendTo(b []byte) []byte {
+	return strconv.AppendInt(append(b, "uhf"...), int64(u.TV()), 10)
+}
 
 // Width is a WhiteFi channel width. The prototype hardware supports 5,
 // 10 and 20 MHz; the type is open to other values but all enumeration
@@ -111,7 +117,12 @@ func (w Width) Span() int {
 func (w Width) Valid() bool { return w == W5 || w == W10 || w == W20 }
 
 // String returns e.g. "10MHz".
-func (w Width) String() string { return fmt.Sprintf("%dMHz", int(w)) }
+func (w Width) String() string { return string(w.AppendTo(nil)) }
+
+// AppendTo appends w's String text to b.
+func (w Width) AppendTo(b []byte) []byte {
+	return append(strconv.AppendInt(b, int64(w), 10), "MHz"...)
+}
 
 // Channel is a WhiteFi channel: a center UHF channel and a width.
 // The zero value is the 0-width invalid channel.
@@ -166,8 +177,12 @@ func (c Channel) Overlaps(d Channel) bool {
 func (c Channel) CenterMHz() float64 { return c.Center.CenterMHz() }
 
 // String returns e.g. "(uhf28, 20MHz)".
-func (c Channel) String() string {
-	return fmt.Sprintf("(%s, %s)", c.Center, c.Width)
+func (c Channel) String() string { return string(c.AppendTo(nil)) }
+
+// AppendTo appends c's String text to b.
+func (c Channel) AppendTo(b []byte) []byte {
+	b = c.Center.AppendTo(append(b, '('))
+	return append(c.Width.AppendTo(append(b, ", "...)), ')')
 }
 
 // The channel tables are fixed by the band plan, so they are built once

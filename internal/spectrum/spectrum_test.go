@@ -1,6 +1,7 @@
 package spectrum
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -373,6 +374,24 @@ func TestQuickChannelBounds(t *testing.T) {
 		}
 		if int(hi-lo)+1 != c.Width.Span() {
 			t.Fatalf("span mismatch for %v", c)
+		}
+	}
+}
+
+// TestStringsMatchFmt: the UHF, Width and Channel texts keep their
+// former fmt renderings ("uhf%d" of the TV number, "%dMHz", and
+// "(%s, %s)"), inside and outside the band.
+func TestStringsMatchFmt(t *testing.T) {
+	ws := []Width{W5, W10, W20, 0, -5, 7}
+	for u := UHF(-3); u < NumUHF+3; u++ {
+		if got, want := u.String(), fmt.Sprintf("uhf%d", u.TV()); got != want {
+			t.Fatalf("UHF %d: %q, want %q", int(u), got, want)
+		}
+		for _, w := range ws {
+			c := Chan(u, w)
+			if got, want := c.String(), fmt.Sprintf("(%s, %s)", fmt.Sprintf("uhf%d", u.TV()), fmt.Sprintf("%dMHz", int(w))); got != want {
+				t.Fatalf("channel %+v: %q, want %q", c, got, want)
+			}
 		}
 	}
 }

@@ -1,6 +1,6 @@
 package trace
 
-import "fmt"
+import "strconv"
 
 // OutageRecord is one connectivity outage as observed by a node's state
 // machine: the span from losing the network (mic hit, beacon timeout,
@@ -29,12 +29,18 @@ func (r OutageRecord) Closed() bool { return r.EndMs > 0 || r.DurMs > 0 }
 // form the determinism tests compare byte-for-byte across worker
 // counts.
 func (r OutageRecord) Line() string {
-	end := "open"
+	b := append(make([]byte, 0, 96), "node="...)
+	b = strconv.AppendInt(b, int64(r.Node), 10)
+	b = append(append(b, " cause="...), r.Cause...)
+	b = strconv.AppendFloat(append(b, " start="...), r.StartMs, 'f', 3, 64)
+	b = append(b, " end="...)
 	if r.Closed() {
-		end = fmt.Sprintf("%.3f", r.EndMs)
+		b = strconv.AppendFloat(b, r.EndMs, 'f', 3, 64)
+	} else {
+		b = append(b, "open"...)
 	}
-	return fmt.Sprintf("node=%d cause=%s start=%.3f end=%s dur=%.3f path=%s",
-		r.Node, r.Cause, r.StartMs, end, r.DurMs, r.Path)
+	b = strconv.AppendFloat(append(b, " dur="...), r.DurMs, 'f', 3, 64)
+	return string(append(append(b, " path="...), r.Path...))
 }
 
 // closedDurs collects the durations of closed outages.

@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"fmt"
-	"io"
 	"sort"
+
+	"whitefi/internal/checkpoint"
 )
 
 // Quantile is a streaming estimator of one quantile using the P² (P
@@ -139,7 +139,7 @@ func (s *Quantile) Value() float64 {
 	return s.q[2]
 }
 
-// DigestState writes the sketch's full internal state to w, for
+// DigestState writes the sketch's full internal state to d, for
 // checkpoint section digests: the target quantile, observation count,
 // marker heights, positions and desired positions. A P² sketch is
 // order-sensitive mid-stream (its markers encode the adjustment
@@ -147,6 +147,7 @@ func (s *Quantile) Value() float64 {
 // digest these internals rather than Value() alone — two sketches can
 // briefly agree on the estimate while holding different marker states
 // that diverge on later observations.
-func (s *Quantile) DigestState(w io.Writer) {
-	fmt.Fprintf(w, "p2 p=%v n=%d q=%v pos=%v des=%v\n", s.P, s.n, s.q, s.pos, s.des)
+func (s *Quantile) DigestState(d *checkpoint.Digest) {
+	d.Row("p2").Float("p", s.P).Int("n", int64(s.n)).Floats("q", s.q[:]).Floats("pos", s.pos[:]).
+		Floats("des", s.des[:]).End()
 }
