@@ -409,7 +409,7 @@ func main() {
 		for _, c := range net.Clients {
 			nodes = append(nodes, c.Node)
 		}
-		obs.RegisterNodes(ob.Reg, "mac", nodes)
+		obs.RegisterNodes(ob.Reg, "mac", func() []*mac.Node { return nodes })
 		if len(net.Flows) > 0 {
 			obs.RegisterFlows(ob.Reg, net.Flows)
 		}

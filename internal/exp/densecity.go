@@ -239,6 +239,9 @@ type cityTile struct {
 	micMap func() spectrum.Map
 	upd    *dynamics.Updater // random-waypoint client walker; nil without mobility
 	hist   *obs.Hist         // MCham histogram; nil without an observer
+	// nodes are the MAC nodes of the tile's BSSs, each AP then its
+	// clients, in placement order; the observer's MAC sums read it.
+	nodes []*mac.Node
 }
 
 // cityRun is one dense city mid-flight, in either layout: the
@@ -267,9 +270,12 @@ type cityRun struct {
 	tiles  []*cityTile
 	rand   func(eng *sim.Engine, id int) *rand.Rand
 
-	bss  []*denseBSS
-	base spectrum.Map
-	free []spectrum.UHF
+	bss []*denseBSS
+	// flows are every BSS's flows in placement order; the observer's
+	// traffic totals read it.
+	flows []*traffic.Flow
+	base  spectrum.Map
+	free  []spectrum.UHF
 	// mics is the coordinator's mic set: what sampling, the observer,
 	// the sections and the summary read.
 	mics   []*incumbent.Mic
@@ -533,6 +539,8 @@ func (r *cityRun) placeBSS(t int, rng *rand.Rand, specs []traffic.Spec, flowID i
 			}, nil)
 		}
 	}
+	tl.nodes = append(append(tl.nodes, b.ap), b.clients...)
+	r.flows = append(r.flows, b.flows...)
 	return b
 }
 
@@ -568,18 +576,11 @@ func (r *cityRun) observe(o *obs.Observer) {
 	} else {
 		obs.RegisterAirs(o.Reg, r.airs)
 	}
-	tileNodes := make([][]*mac.Node, len(r.tiles))
-	var flows []*traffic.Flow
-	for _, b := range r.bss {
-		tileNodes[b.tile] = append(tileNodes[b.tile], b.ap)
-		tileNodes[b.tile] = append(tileNodes[b.tile], b.clients...)
-		flows = append(flows, b.flows...)
-	}
-	for t, tl := range r.tiles {
-		obs.RegisterNodes(o.Reg, tl.prefix+"mac", tileNodes[t])
+	for _, tl := range r.tiles {
+		obs.RegisterNodes(o.Reg, tl.prefix+"mac", func() []*mac.Node { return tl.nodes })
 		tl.hist = o.Reg.Hist(tl.prefix + "assign.mcham")
 	}
-	obs.RegisterFlowTotals(o.Reg, flows)
+	obs.RegisterFlowTotals(o.Reg, func() []*traffic.Flow { return r.flows })
 	o.Reg.GaugeFunc("incumbent.active_mics", func() float64 {
 		n := 0
 		for _, m := range r.mics {

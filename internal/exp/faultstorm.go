@@ -221,7 +221,7 @@ func buildFaultStorm(cfg FaultStormCellConfig, o *obs.Observer) *stormRun {
 		for _, cl := range c.net.Clients {
 			nodes = append(nodes, cl.Node)
 		}
-		obs.RegisterNodes(o.Reg, "mac", nodes)
+		obs.RegisterNodes(o.Reg, "mac", func() []*mac.Node { return nodes })
 		obs.RegisterClients(o.Reg, c.net.Clients)
 		obs.RegisterAP(o.Reg, c.net.AP)
 		obs.RegisterScanner(o.Reg, "radio.ap", c.net.AP.Scanner)

@@ -219,3 +219,55 @@ func FuzzCheckpointAt(f *testing.F) {
 		}
 	})
 }
+
+// TestForkTelemetryCountsAddedBSSs: the snapshot stream of a forked,
+// telemetry-on city sums the BSSs that add-aps placed, like its
+// result does. The last snapshot, flushed once every flow has
+// stopped, must count every packet every flow generated and every
+// data frame every node sent.
+func TestForkTelemetryCountsAddedBSSs(t *testing.T) {
+	RegisterSessions()
+	raw, _ := json.Marshal(CitySpec{APs: 4, Seed: 3, SettleMS: 1000, MeasureMS: 3000, TelemetryMS: 500})
+	s, err := checkpoint.Build("densecity", raw, checkpoint.Options{})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	s.AdvanceTo(2 * time.Second)
+	cp, err := checkpoint.Capture(s)
+	if err != nil {
+		t.Fatalf("capture: %v", err)
+	}
+	var stream bytes.Buffer
+	f, err := checkpoint.Fork(cp, []checkpoint.Edit{{Op: "add-aps", N: 4, Seed: 1}}, checkpoint.Options{SnapshotOut: &stream})
+	if err != nil {
+		t.Fatalf("fork: %v", err)
+	}
+	f.AdvanceTo(f.End())
+	f.Result()
+	var generated, txData int64
+	for _, b := range f.(*citySession).run.bss {
+		for _, fl := range b.flows {
+			generated += int64(fl.Tel.Generated)
+		}
+		txData += int64(b.ap.Stats.TxData)
+		for _, cl := range b.clients {
+			txData += int64(cl.Stats.TxData)
+		}
+	}
+	var last struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(stream.Bytes()), []byte("\n")) {
+		if bytes.Contains(line, []byte(`"event":"snapshot"`)) {
+			if err := json.Unmarshal(line, &last); err != nil {
+				t.Fatalf("snapshot line %q: %v", line, err)
+			}
+		}
+	}
+	if got := last.Counters["traffic.generated"]; got != generated || generated == 0 {
+		t.Errorf("last snapshot traffic.generated = %d, flows generated %d", got, generated)
+	}
+	if got := last.Counters["mac.tx_data"]; got != txData {
+		t.Errorf("last snapshot mac.tx_data = %d, nodes sent %d", got, txData)
+	}
+}

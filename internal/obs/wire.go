@@ -91,13 +91,14 @@ func RegisterAirtime(r *Registry, air *mac.Air, window time.Duration, centers []
 }
 
 // RegisterNodes registers aggregate MAC counters and the total DCF
-// queue depth over a fixed node set, under the given prefix (e.g.
-// "mac").
-func RegisterNodes(r *Registry, prefix string, nodes []*mac.Node) {
+// queue depth over the node set, under the given prefix (e.g. "mac").
+// nodes is called at every snapshot, so the sums cover nodes added
+// after registration (a forked run's added BSSs).
+func RegisterNodes(r *Registry, prefix string, nodes func() []*mac.Node) {
 	sum := func(f func(*mac.Node) int64) func() int64 {
 		return func() int64 {
 			var t int64
-			for _, n := range nodes {
+			for _, n := range nodes() {
 				t += f(n)
 			}
 			return t
@@ -112,7 +113,7 @@ func RegisterNodes(r *Registry, prefix string, nodes []*mac.Node) {
 	r.CounterFunc(prefix+".shed_dropped", sum(func(n *mac.Node) int64 { return int64(n.Stats.ShedDropped) }))
 	r.GaugeFunc(prefix+".queue_depth", func() float64 {
 		var t int
-		for _, n := range nodes {
+		for _, n := range nodes() {
 			t += n.QueueLen()
 		}
 		return float64(t)
@@ -131,29 +132,31 @@ func RegisterFlows(r *Registry, flows []*traffic.Flow) {
 		r.CounterFunc(p+".delivered", func() int64 { return int64(f.Tel.Delivered) })
 		r.CounterFunc(p+".queue_dropped", func() int64 { return int64(f.Tel.QueueDropped) })
 	}
-	RegisterFlowTotals(r, flows)
+	RegisterFlowTotals(r, func() []*traffic.Flow { return flows })
 }
 
 // RegisterFlowTotals registers aggregate traffic counters
-// (traffic.generated/delivered/queue_dropped) over a fixed flow set.
-func RegisterFlowTotals(r *Registry, flows []*traffic.Flow) {
+// (traffic.generated/delivered/queue_dropped) over the flow set. flows
+// is called at every snapshot, so the totals cover flows added after
+// registration.
+func RegisterFlowTotals(r *Registry, flows func() []*traffic.Flow) {
 	r.CounterFunc("traffic.generated", func() int64 {
 		var t int64
-		for _, f := range flows {
+		for _, f := range flows() {
 			t += int64(f.Tel.Generated)
 		}
 		return t
 	})
 	r.CounterFunc("traffic.delivered", func() int64 {
 		var t int64
-		for _, f := range flows {
+		for _, f := range flows() {
 			t += int64(f.Tel.Delivered)
 		}
 		return t
 	})
 	r.CounterFunc("traffic.queue_dropped", func() int64 {
 		var t int64
-		for _, f := range flows {
+		for _, f := range flows() {
 			t += int64(f.Tel.QueueDropped) + int64(f.Tel.RequestDropped)
 		}
 		return t
