@@ -402,7 +402,7 @@ func (n *Node) difsDone() {
 }
 
 func (n *Node) scheduleSlot() {
-	n.slotEv = n.eng.After(phy.Slot(n.channel.Width), n.slotDoneFn)
+	n.slotEv = n.eng.AfterFixed(phy.Slot(n.channel.Width), n.slotDoneFn)
 }
 
 func (n *Node) slotDone() {

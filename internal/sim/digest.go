@@ -22,9 +22,8 @@ import (
 // "Checkpoint & serving".
 func (e *Engine) DigestState(d *checkpoint.Digest) {
 	d.Row("sim").Int("now", int64(e.now)).Uint("seq", e.seq).Uint("dispatched", e.dispatched).
-		Int("pending", int64(len(e.queue))).Int("free", int64(len(e.free))).Int("seed", e.seed).End()
-	evs := make([]slot, len(e.queue))
-	copy(evs, e.queue)
+		Int("pending", int64(e.Pending())).Int("free", int64(len(e.free))).Int("seed", e.seed).End()
+	evs := e.pendingSlots()
 	sort.Slice(evs, func(i, j int) bool { return evs[i].before(&evs[j]) })
 	for _, s := range evs {
 		kind := "fn"
@@ -41,9 +40,24 @@ func (e *Engine) DigestState(d *checkpoint.Digest) {
 	d.Row("rng").Int("streams", int64(len(ids))).Ints("ids", ids).End()
 }
 
+// pendingSlots returns every live slot, heap and lanes, in no
+// particular order.
+func (e *Engine) pendingSlots() []slot {
+	evs := append(make([]slot, 0, e.Pending()), e.queue...)
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		for p := l.head; p < l.tail; p++ {
+			if s := l.ring[p&(len(l.ring)-1)]; s.ev != nil {
+				evs = append(evs, s)
+			}
+		}
+	}
+	return evs
+}
+
 // PendingCount reports the number of queued (not yet fired) events —
 // the item count of the engine's checkpoint section.
-func (e *Engine) PendingCount() int { return len(e.queue) }
+func (e *Engine) PendingCount() int { return e.Pending() }
 
 // DigestState writes the canonical state of every member engine:
 // the global engine first, then each shard in shard order, prefixed

@@ -17,9 +17,8 @@ import (
 // replaced, kept verbatim as the reference its bytes must equal.
 func refEngineDigest(e *Engine, w io.Writer) {
 	fmt.Fprintf(w, "sim now=%d seq=%d dispatched=%d pending=%d free=%d seed=%d\n",
-		int64(e.now), e.seq, e.dispatched, len(e.queue), len(e.free), e.seed)
-	evs := make([]slot, len(e.queue))
-	copy(evs, e.queue)
+		int64(e.now), e.seq, e.dispatched, e.Pending(), len(e.free), e.seed)
+	evs := e.pendingSlots()
 	sort.Slice(evs, func(i, j int) bool { return evs[i].before(&evs[j]) })
 	for _, s := range evs {
 		kind := "fn"
@@ -71,10 +70,12 @@ func digestInt(r *rand.Rand) int64 {
 func loadEngine(r *rand.Rand, e *Engine) {
 	for k := r.Intn(30); k > 0; k-- {
 		at := time.Duration(r.Int63n(int64(10 * time.Second)))
-		switch r.Intn(3) {
+		switch r.Intn(4) {
 		case 0:
 			e.Schedule(at, func() { e.Schedule(e.Now()+time.Millisecond, func() {}) })
 		case 1:
+			e.Schedule(at, func() { e.AfterFixed(9*time.Microsecond, func() {}) })
+		case 2:
 			arg := r.Uint64()
 			if r.Intn(3) == 0 {
 				arg = math.MaxUint64

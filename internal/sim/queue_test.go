@@ -84,19 +84,30 @@ func (r *refQueue) digest(seed int64) []byte {
 	return b.Bytes()
 }
 
+// fixedDelays are the delays queueProgram passes to AfterFixed: zero
+// and a negative delay (both clamp to now and share one lane), delays
+// that tie the near-term heap events, and one long enough to queue
+// many entries in its lane.
+var fixedDelays = []time.Duration{0, -3, 2, 5, 60}
+
 // queueProgram drives an engine and the reference in lockstep through a
-// random program of n steps: callbacks schedule (Schedule and
-// ScheduleArg, into the past, at the current instant and ahead) and
-// cancel (the current top, events at the current instant, arbitrary
-// and stale handles), and between steps the host cancels too. After
-// every step the firing order, Pending, FreeEvents, NextAt and the
-// DigestState bytes must match the reference.
+// random program of n steps: callbacks schedule (Schedule, ScheduleArg
+// and AfterFixed, into the past, at the current instant and ahead) and
+// cancel (the current top, events at the current instant, a lane's head
+// or middle, arbitrary and stale handles), and between steps the host
+// cancels too. Halfway through, the host schedules a burst into one
+// lane, cancelling every third entry, until the lane's ring outgrows its
+// first capacity. After every step the firing order, Pending,
+// FreeEvents, NextAt and the DigestState bytes must match the
+// reference.
 func queueProgram(seed int64, n int) error {
 	const engSeed = 7
 	rng := rand.New(rand.NewSource(seed))
 	e := New(engSeed)
 	ref := &refQueue{}
 	var handles []Handle // by event id; fired and cancelled ones stay as stale handles
+	var laneOf []int     // by event id: the delay of its lane, or -1 off the lanes
+	var fixedIDs []int   // ids scheduled through AfterFixed
 	fired := 0           // callbacks run so far
 	var fail error
 	failf := func(format string, args ...any) {
@@ -121,10 +132,24 @@ func queueProgram(seed int64, n int) error {
 	}
 	var onFire func(id int)
 	argFn := func(arg uint64) { onFire(int(arg)) }
+	// scheduleFixed schedules through AfterFixed with fixedDelays[k].
+	scheduleFixed := func(k int) {
+		id := len(handles)
+		d := fixedDelays[k]
+		handles = append(handles, e.AfterFixed(d, func() { onFire(id) }))
+		laneOf = append(laneOf, int(max(d, 0)))
+		fixedIDs = append(fixedIDs, id)
+		ref.schedule(e.Now()+d, id, false)
+	}
 	schedule := func() {
+		k := rng.Intn(3)
+		if k == 2 {
+			scheduleFixed(rng.Intn(len(fixedDelays)))
+			return
+		}
 		id := len(handles)
 		at := e.Now() + delay()
-		argK := rng.Intn(2) == 0
+		argK := k == 0
 		var h Handle
 		if argK {
 			h = e.ScheduleArg(at, argFn, uint64(id))
@@ -132,6 +157,7 @@ func queueProgram(seed int64, n int) error {
 			h = e.Schedule(at, func() { onFire(id) })
 		}
 		handles = append(handles, h)
+		laneOf = append(laneOf, -1)
 		ref.schedule(at, id, argK)
 	}
 	cancelID := func(id int) {
@@ -140,11 +166,35 @@ func queueProgram(seed int64, n int) error {
 			ref.removeAt(i)
 		}
 	}
+	// cancelInLane cancels the head (mid false) or the middle entry of
+	// the lane of delay d.
+	cancelInLane := func(d int, mid bool) {
+		var in []refEvent
+		for _, ev := range ref.pending {
+			if laneOf[ev.id] == d {
+				in = append(in, ev)
+			}
+		}
+		if len(in) == 0 {
+			return
+		}
+		sort.Slice(in, func(i, j int) bool { return in[i].seq < in[j].seq })
+		i := 0
+		if mid {
+			i = len(in) / 2
+		}
+		cancelID(in[i].id)
+	}
 	// cancel picks a victim: the current top, an event at the current
-	// instant, any handle ever issued (possibly stale), or the zero
-	// Handle.
+	// instant, any handle ever issued (possibly stale), the head or the
+	// middle of a lane, any handle AfterFixed issued (possibly stale),
+	// or the zero Handle.
 	cancel := func() {
-		switch k := rng.Intn(4); {
+		switch k := rng.Intn(6); {
+		case k == 3 && len(fixedIDs) > 0:
+			cancelInLane(laneOf[fixedIDs[rng.Intn(len(fixedIDs))]], rng.Intn(2) == 0)
+		case k == 4 && len(fixedIDs) > 0:
+			cancelID(fixedIDs[rng.Intn(len(fixedIDs))])
 		case k == 0:
 			if i := ref.minIndex(); i >= 0 {
 				cancelID(ref.pending[i].id)
@@ -191,6 +241,18 @@ func queueProgram(seed int64, n int) error {
 		schedule()
 	}
 	for step := 0; step < n && fail == nil; step++ {
+		if step == n/2 {
+			k := len(fixedDelays) - 1
+			for i := 0; i < laneCap+laneCap/2; i++ {
+				scheduleFixed(k)
+				if i%3 == 1 {
+					cancelID(len(handles) - 1)
+				}
+			}
+			if l := e.lanes[e.laneFor(fixedDelays[k])]; len(l.ring) <= laneCap {
+				failf("step %d: burst left the lane ring at %d entries", step, len(l.ring))
+			}
+		}
 		if rng.Intn(5) == 0 {
 			cancel()
 		}
@@ -259,11 +321,10 @@ func FuzzQueueMatchesReference(f *testing.F) {
 	})
 }
 
-// BenchmarkQueueStep measures one pop plus one push at a steady 420
-// pending events, with the reschedule offsets of a dense city's queue:
-// two thirds land within 10 µs and nearly all within 50 µs.
-func BenchmarkQueueStep(b *testing.B) {
-	const pending = 420
+// cityOffsets returns 4096 reschedule offsets shaped like a dense
+// city's queue: two thirds land within 10 µs and nearly all within
+// 50 µs.
+func cityOffsets() []time.Duration {
 	rng := rand.New(rand.NewSource(1))
 	offsets := make([]time.Duration, 4096)
 	for i := range offsets {
@@ -276,6 +337,14 @@ func BenchmarkQueueStep(b *testing.B) {
 			offsets[i] = 50*time.Microsecond + time.Duration(rng.Intn(5_000_000))
 		}
 	}
+	return offsets
+}
+
+// BenchmarkQueueStep measures one pop plus one push at a steady 420
+// pending events, with the reschedule offsets of cityOffsets.
+func BenchmarkQueueStep(b *testing.B) {
+	const pending = 420
+	offsets := cityOffsets()
 	e := New(1)
 	next := 0
 	var fn func(uint64)
@@ -290,5 +359,63 @@ func BenchmarkQueueStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
+	}
+}
+
+// BenchmarkQueueSlotTicks measures one fired event of a city-shaped
+// queue: 300 nodes counting backoff slots of 9, 18 or 36 µs beside 120
+// events rescheduled at cityOffsets. One tick in eight freezes another
+// node's countdown and resumes it, which cancels and reschedules that
+// node's tick. heap schedules the ticks with After, lane with
+// AfterFixed; the firing order is the same.
+func BenchmarkQueueSlotTicks(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		after func(e *Engine, d time.Duration, fn func()) Handle
+	}{
+		{"heap", (*Engine).After},
+		{"lane", (*Engine).AfterFixed},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			const nodes, others = 300, 120
+			slots := [3]time.Duration{9 * time.Microsecond, 18 * time.Microsecond, 36 * time.Microsecond}
+			offsets := cityOffsets()
+			rng := rand.New(rand.NewSource(2))
+			victims := make([]int, 4096) // a node index, or -1 for no freeze
+			for i := range victims {
+				victims[i] = -1
+				if rng.Intn(8) == 0 {
+					victims[i] = rng.Intn(nodes)
+				}
+			}
+			e := New(1)
+			ticks := make([]Handle, nodes)
+			tickFns := make([]func(), nodes)
+			next := 0
+			for i := range tickFns {
+				tickFns[i] = func() {
+					ticks[i] = bc.after(e, slots[i%3], tickFns[i])
+					if j := victims[next&(len(victims)-1)]; j >= 0 {
+						e.Cancel(ticks[j])
+						ticks[j] = bc.after(e, slots[j%3], tickFns[j])
+					}
+					next++
+				}
+				ticks[i] = bc.after(e, slots[i%3], tickFns[i])
+			}
+			var other func(uint64)
+			other = func(uint64) {
+				e.AfterArg(offsets[next&(len(offsets)-1)], other, 0)
+				next++
+			}
+			for i := 0; i < others; i++ {
+				e.AfterArg(offsets[i], other, 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }

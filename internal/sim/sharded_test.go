@@ -130,20 +130,31 @@ func TestShardedFloor(t *testing.T) {
 }
 
 // TestShardedDeadlineSweep: a barrier callback at the deadline that
-// schedules shard work at the deadline still gets that work executed
-// before RunUntil returns — same semantics as serial RunUntil.
+// schedules shard work at the deadline, on the heap or in a fixed-delay
+// lane, still gets that work executed before RunUntil returns — same
+// semantics as serial RunUntil.
 func TestShardedDeadlineSweep(t *testing.T) {
-	se := NewSharded(1, 2)
-	ran := false
-	se.Global().Schedule(10*time.Millisecond, func() {
-		se.Shard(1).Schedule(10*time.Millisecond, func() { ran = true })
-	})
-	se.RunUntil(10 * time.Millisecond)
-	if !ran {
-		t.Fatal("deadline-time shard event scheduled from a barrier did not run")
-	}
-	if n := se.Pending(); n != 0 {
-		t.Fatalf("pending after run = %d, want 0", n)
+	for _, tc := range []struct {
+		name     string
+		schedule func(e *Engine, fn func())
+	}{
+		{"Schedule", func(e *Engine, fn func()) { e.Schedule(10*time.Millisecond, fn) }},
+		{"AfterFixed", func(e *Engine, fn func()) { e.AfterFixed(0, fn) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			se := NewSharded(1, 2)
+			ran := false
+			se.Global().Schedule(10*time.Millisecond, func() {
+				tc.schedule(se.Shard(1), func() { ran = true })
+			})
+			se.RunUntil(10 * time.Millisecond)
+			if !ran {
+				t.Fatal("deadline-time shard event scheduled from a barrier did not run")
+			}
+			if n := se.Pending(); n != 0 {
+				t.Fatalf("pending after run = %d, want 0", n)
+			}
+		})
 	}
 }
 

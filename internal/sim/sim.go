@@ -11,6 +11,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"time"
 )
@@ -23,9 +24,10 @@ type event struct {
 	fn    func()
 	argFn func(uint64)
 	arg   uint64
-	index int // queue index while queued
+	index int // heap index, or absolute ring position in its lane
 	gen   uint32
-	live  bool // queued and not yet fired/cancelled
+	lane  uint16 // 0 while in the heap; k while in lanes[k-1]
+	live  bool   // queued and not yet fired/cancelled
 }
 
 // Handle identifies a scheduled event for cancellation. The zero
@@ -147,12 +149,63 @@ func (q eventQueue) down(i int, s slot) {
 	s.ev.index = i
 }
 
+// laneCap is a lane ring's first capacity; it doubles when full.
+const laneCap = 64
+
+// lane is a FIFO ring of the events scheduled by AfterFixed with one
+// delay d. The clock never goes back and seq only grows, so each entry
+// appended at now+d orders after every entry already in the lane: the
+// ring stays sorted by (at, seq) and its head is its least entry.
+// Positions are absolute. Entry p lives at ring[p&(len(ring)-1)], which
+// still holds after the ring doubles, so an event keeps its position
+// for its whole life. Cancel clears an entry in place, and the head
+// always rests on a live entry or at tail.
+type lane struct {
+	d          time.Duration
+	ring       []slot
+	head, tail int
+}
+
+// push appends s and returns its position, doubling the ring when it
+// is full.
+func (l *lane) push(s slot) int {
+	if l.tail-l.head == len(l.ring) {
+		ring := make([]slot, max(2*len(l.ring), laneCap))
+		for p := l.head; p < l.tail; p++ {
+			ring[p&(len(ring)-1)] = l.ring[p&(len(l.ring)-1)]
+		}
+		l.ring = ring
+	}
+	p := l.tail
+	l.ring[p&(len(l.ring)-1)] = s
+	l.tail++
+	return p
+}
+
+// clear empties the entry at position p. When p is the head, the head
+// moves past every cleared entry behind it.
+func (l *lane) clear(p int) {
+	m := len(l.ring) - 1
+	l.ring[p&m] = slot{}
+	if p != l.head {
+		return
+	}
+	for l.head++; l.head < l.tail && l.ring[l.head&m].ev == nil; l.head++ {
+	}
+}
+
 // Engine is a single-threaded discrete-event scheduler with a seeded
 // random number generator. Create one with New.
+//
+// Pending events wait in a heap, except those scheduled by AfterFixed,
+// which wait in one FIFO lane per delay. The next event is the least
+// (at, seq) among the heap top and the lane heads.
 type Engine struct {
 	now        time.Duration
 	seq        uint64
 	queue      eventQueue
+	lanes      []lane
+	laneLive   int // live entries across all lanes
 	free       []*event
 	seed       int64
 	rng        *rand.Rand
@@ -227,6 +280,7 @@ func (e *Engine) alloc() *event {
 func (e *Engine) release(ev *event) {
 	ev.gen++
 	ev.live = false
+	ev.lane = 0
 	ev.fn = nil
 	ev.argFn = nil
 	ev.arg = 0
@@ -257,6 +311,43 @@ func (e *Engine) After(d time.Duration, fn func()) Handle {
 	return e.Schedule(e.now+d, fn)
 }
 
+// AfterFixed runs fn d after the current virtual time, clamped to now
+// as After clamps, and fires in exactly the order After would. The
+// event waits in the FIFO lane for its delay instead of the heap, so
+// scheduling and firing it cost O(1). Every distinct delay opens a lane
+// that lives as long as the engine and that each later Step compares:
+// AfterFixed is for a few delays that recur constantly (the DCF backoff
+// slot), not for drawn ones.
+func (e *Engine) AfterFixed(d time.Duration, fn func()) Handle {
+	at := e.now + d
+	if at < e.now {
+		at = e.now
+	}
+	k := e.laneFor(at - e.now)
+	ev := e.alloc()
+	ev.fn = fn
+	ev.lane = uint16(k + 1)
+	ev.index = e.lanes[k].push(slot{at: at, seq: e.seq, ev: ev})
+	e.seq++
+	e.laneLive++
+	return Handle{ev: ev, gen: ev.gen}
+}
+
+// laneFor returns the index of the lane holding delay d, opening it if
+// needed.
+func (e *Engine) laneFor(d time.Duration) int {
+	for i := range e.lanes {
+		if e.lanes[i].d == d {
+			return i
+		}
+	}
+	if len(e.lanes) == math.MaxUint16 {
+		panic("sim: too many AfterFixed delays")
+	}
+	e.lanes = append(e.lanes, lane{d: d})
+	return len(e.lanes) - 1
+}
+
 // ScheduleArg runs fn(arg) at virtual time at (clamped like Schedule).
 // Passing state through arg instead of a closure capture keeps hot-path
 // scheduling allocation-free: fn can be a long-lived bound function
@@ -279,22 +370,53 @@ func (e *Engine) AfterArg(d time.Duration, fn func(uint64), arg uint64) Handle {
 // generation check rejects stale handles even after the slot has been
 // reused for a newer event.
 func (e *Engine) Cancel(h Handle) {
-	if h.ev == nil || h.ev.gen != h.gen || !h.ev.live {
+	ev := h.ev
+	if ev == nil || ev.gen != h.gen || !ev.live {
 		return
 	}
-	e.queue.removeAt(h.ev.index)
-	e.release(h.ev)
+	if ev.lane != 0 {
+		e.lanes[ev.lane-1].clear(ev.index)
+		e.laneLive--
+	} else {
+		e.queue.removeAt(ev.index)
+	}
+	e.release(ev)
 }
 
-// Step fires the next pending event, advancing the clock to its time.
-// It reports whether an event was fired. The event's storage is
+// next returns the least pending slot and where it waits: the heap
+// (-1) or a lane index. The slot is nil when nothing is pending.
+func (e *Engine) next() (*slot, int) {
+	var s *slot
+	src := -1
+	if len(e.queue) > 0 {
+		s = &e.queue[0]
+	}
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.head == l.tail {
+			continue
+		}
+		if h := &l.ring[l.head&(len(l.ring)-1)]; s == nil || h.before(s) {
+			s, src = h, i
+		}
+	}
+	return s, src
+}
+
+// fire removes the least pending event from src, as returned by next,
+// advances the clock to its time and runs it. The event's storage is
 // released before its callback runs, so a callback that reschedules
 // typically reuses the slot it just fired from.
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
+func (e *Engine) fire(src int) {
+	var s slot
+	if src < 0 {
+		s = e.queue.pop()
+	} else {
+		l := &e.lanes[src]
+		s = l.ring[l.head&(len(l.ring)-1)]
+		l.clear(l.head)
+		e.laneLive--
 	}
-	s := e.queue.pop()
 	ev := s.ev
 	e.now = s.at
 	e.dispatched++
@@ -305,14 +427,28 @@ func (e *Engine) Step() bool {
 	} else {
 		fn()
 	}
+}
+
+// Step fires the next pending event, advancing the clock to its time.
+// It reports whether an event was fired.
+func (e *Engine) Step() bool {
+	s, src := e.next()
+	if s == nil {
+		return false
+	}
+	e.fire(src)
 	return true
 }
 
 // RunUntil processes events in order until the queue is empty or the next
 // event is after deadline; the clock is then set to deadline.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
+	for {
+		s, src := e.next()
+		if s == nil || s.at > deadline {
+			break
+		}
+		e.fire(src)
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -368,23 +504,25 @@ func (t *Ticker) Stop() {
 	t.ev = Handle{}
 }
 
-// Pending returns the number of scheduled events. Cancelled events
-// leave the queue immediately, so every queued event counts.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending returns the number of scheduled events that have neither
+// fired nor been cancelled. A cancelled lane event leaves a cleared
+// entry in its ring until the lane's head passes it; that entry does
+// not count.
+func (e *Engine) Pending() int { return len(e.queue) + e.laneLive }
 
 // NextAt returns the virtual time of the earliest pending event, or
 // ok=false when the queue is empty. The sharded coordinator peeks it to
 // size the next conservative window.
 func (e *Engine) NextAt() (time.Duration, bool) {
-	if len(e.queue) == 0 {
+	s, _ := e.next()
+	if s == nil {
 		return 0, false
 	}
-	return e.queue[0].at, true
+	return s.at, true
 }
 
-// Dispatched returns the total number of events fired by Step since
-// the engine was created — the raw work counter the observability
-// layer samples.
+// Dispatched returns the total number of events fired since the engine
+// was created — the raw work counter the observability layer samples.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // FreeEvents returns the current size of the engine's event free list
