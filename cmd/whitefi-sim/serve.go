@@ -59,10 +59,19 @@ func maybeSession() bool {
 func runServe(addr string, workers int) {
 	srv := server.New(workers)
 	fmt.Fprintf(os.Stderr, "serving simulation API on %s (kinds: %v)\n", addr, checkpoint.Kinds())
-	if err := http.ListenAndServe(addr, srv.Handler()); err != nil {
+	if err := newHTTPServer(addr, srv.Handler()).ListenAndServe(); err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// newHTTPServer returns the -serve HTTP server for h on addr. A client
+// gets 10 s to send its request headers, and an idle keep-alive
+// connection closes after 2 minutes, so a stalled client cannot hold a
+// connection forever. There is no write timeout: /api/runs/{id}/stream
+// follows a run for its whole life.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 }
 
 // fail prints err and exits.

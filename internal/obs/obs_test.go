@@ -240,6 +240,22 @@ func TestWallRecord(t *testing.T) {
 	}
 }
 
+// TestServeSetsTimeouts: the telemetry server bounds how long a client
+// may take over its request headers and how long an idle keep-alive
+// connection stays open.
+func TestServeSetsTimeouts(t *testing.T) {
+	o := &Observer{}
+	srv, err := o.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	defer srv.Close()
+	if srv.srv.ReadHeaderTimeout <= 0 || srv.srv.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v: want both positive",
+			srv.srv.ReadHeaderTimeout, srv.srv.IdleTimeout)
+	}
+}
+
 // TestServe exercises the live HTTP endpoints: 503 before the first
 // snapshot, then valid JSON from /metrics and /trace.
 func TestServe(t *testing.T) {

@@ -3,6 +3,15 @@ package obs
 import (
 	"net"
 	"net/http"
+	"time"
+)
+
+// The telemetry server gives a client headerTimeout to send its request
+// headers and closes a keep-alive connection after idleTimeout without
+// a request, so a stalled client cannot hold a connection forever.
+const (
+	headerTimeout = 10 * time.Second
+	idleTimeout   = 2 * time.Minute
 )
 
 // Server serves the observer's latest published snapshot and trace
@@ -29,7 +38,7 @@ func (o *Observer) Serve(addr string) (*Server, error) {
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, o.TraceJSON())
 	})
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 	go srv.Serve(ln)
 	return &Server{ln: ln, srv: srv}, nil
 }
