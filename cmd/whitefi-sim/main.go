@@ -385,7 +385,7 @@ func main() {
 		inj = fault.NewInjector(eng, fault.Config{Seed: fseed, Rate: *faultRate})
 		inj.AddTarget(net.AP.ID, net.AP)
 		inj.Start()
-		ge := fault.NewGilbertElliott(eng, air, fault.GEConfig{LossBad: 0.35}, fseed*31+7)
+		ge := fault.NewGilbertElliott(eng, air, fseed*31+7)
 		ge.Start()
 		if em != nil {
 			for _, c := range net.Clients {

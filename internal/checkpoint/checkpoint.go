@@ -63,8 +63,6 @@ type Edit struct {
 	// Seed drives any randomness the edit needs (placement draws), so
 	// a fork is as deterministic as the run it branched from.
 	Seed int64 `json:"seed,omitempty"`
-	// Value is the op's scalar argument, for ops that need one.
-	Value float64 `json:"value,omitempty"`
 }
 
 // Editable is implemented by sessions that support fork-time what-if

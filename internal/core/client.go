@@ -24,8 +24,8 @@ const (
 	// the fast path is timing-identical to the unhardened protocol.
 	chirpBackoffAfter = 6
 	// chirpBackoffCap bounds the backed-off chirp period. It stays
-	// under the AP's BackupScanPeriod so every scan window still
-	// contains at least one chirp.
+	// under the AP's DefaultBackupScanPeriod so every scan window
+	// still contains at least one chirp.
 	chirpBackoffCap = 1600 * time.Millisecond
 	// chirpJitterFrac is the uniform jitter fraction added to a
 	// backed-off period, desynchronising chirpers that entered backoff
@@ -33,8 +33,9 @@ const (
 	chirpJitterFrac = 0.25
 	// rotateDwell is how long a disconnected client chirps on one
 	// channel unanswered before rotating to the next rendezvous
-	// candidate. It exceeds the AP's BackupScanPeriod by a comfortable
-	// margin, so a live AP always gets a chance to find us first.
+	// candidate. It exceeds the AP's DefaultBackupScanPeriod by a
+	// comfortable margin, so a live AP always gets a chance to find us
+	// first.
 	rotateDwell = 8 * time.Second
 )
 
@@ -124,8 +125,8 @@ func NewClient(eng *sim.Engine, air *mac.Air, id int, cfg Config, sensor *radio.
 	c.running = true
 	c.watchMics()
 	c.associate()
-	eng.After(cfg.ControlPeriod, c.controlTick)
-	eng.After(cfg.BeaconTimeout/2, c.beaconWatchTick)
+	eng.After(DefaultControlPeriod, c.controlTick)
+	eng.After(DefaultBeaconTimeout/2, c.beaconWatchTick)
 	return c
 }
 
@@ -162,7 +163,7 @@ func (c *Client) associate() {
 
 func (c *Client) observe() assign.Observation {
 	to := c.eng.Now()
-	from := to - c.Cfg.AirtimeWindow
+	from := to - DefaultAirtimeWindow
 	if from < 0 {
 		from = 0
 	}
@@ -285,7 +286,7 @@ func (c *Client) controlTick() {
 	if !c.running {
 		return
 	}
-	defer c.eng.After(c.Cfg.ControlPeriod, c.controlTick)
+	defer c.eng.After(DefaultControlPeriod, c.controlTick)
 	if !c.associated || c.onBackup {
 		return
 	}
@@ -293,20 +294,20 @@ func (c *Client) controlTick() {
 		Bytes: 120, Meta: ControlMeta{Obs: c.observe()}})
 }
 
-// beaconWatchTick detects disconnection: no beacon (or switch) heard for
-// BeaconTimeout means the AP has moved (e.g. it sensed a mic we cannot
-// hear, or we missed the switch announcement) or died. The client
-// reverts to the disconnection protocol: go to the backup channel and
-// chirp.
+// beaconWatchTick detects disconnection: no beacon (or switch) heard
+// for DefaultBeaconTimeout means the AP has moved (e.g. it sensed a mic
+// we cannot hear, or we missed the switch announcement) or died. The
+// client reverts to the disconnection protocol: go to the backup
+// channel and chirp.
 func (c *Client) beaconWatchTick() {
 	if !c.running {
 		return
 	}
-	defer c.eng.After(c.Cfg.BeaconTimeout/2, c.beaconWatchTick)
+	defer c.eng.After(DefaultBeaconTimeout/2, c.beaconWatchTick)
 	if !c.associated || c.onBackup {
 		return
 	}
-	if c.eng.Now()-c.lastBeacon > c.Cfg.BeaconTimeout {
+	if c.eng.Now()-c.lastBeacon > DefaultBeaconTimeout {
 		c.goToBackup("beacon-timeout")
 	}
 }
@@ -402,14 +403,15 @@ func (c *Client) armRotateDwell(target spectrum.Channel) {
 
 // rotateBackup re-evaluates the rendezvous channel after a full dwell
 // of unanswered chirping. On the advertised backup channel — which the
-// AP checks every BackupScanPeriod, making it the best bet while free —
-// the client camps: it stays put at the steady chirp cadence and only
-// re-checks that the channel is still incumbent-free. Anywhere else
-// (the advertised backup was mic-hit, or this is already a speculative
-// channel) the search escalates: return to the advertised backup if it
-// has come free again, otherwise hop to a seeded random free channel,
-// which the AP's full scan sweeps every FullScanPeriod. Chirp backoff
-// resets on each hop: a fresh channel deserves fast initial chirps.
+// AP checks every DefaultBackupScanPeriod, making it the best bet while
+// free — the client camps: it stays put at the steady chirp cadence and
+// only re-checks that the channel is still incumbent-free. Anywhere
+// else (the advertised backup was mic-hit, or this is already a
+// speculative channel) the search escalates: return to the advertised
+// backup if it has come free again, otherwise hop to a seeded random
+// free channel, which the AP's full scan sweeps every
+// DefaultFullScanPeriod. Chirp backoff resets on each hop: a fresh
+// channel deserves fast initial chirps.
 func (c *Client) rotateBackup() {
 	if !c.running || !c.onBackup {
 		return

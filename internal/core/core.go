@@ -15,30 +15,24 @@ import (
 	"whitefi/internal/spectrum"
 )
 
-// Default protocol timing.
+// Protocol timing. DefaultProbePeriod is Config.ProbePeriod's default;
+// the others are fixed.
 const (
-	DefaultBeaconInterval   = 100 * time.Millisecond
-	DefaultControlPeriod    = 1 * time.Second
-	DefaultProbePeriod      = 5 * time.Second
-	DefaultAirtimeWindow    = 500 * time.Millisecond
-	DefaultBackupScanPeriod = 3 * time.Second
-	DefaultFullScanPeriod   = 10 * time.Second
-	DefaultChirpCollect     = 500 * time.Millisecond
-	DefaultBeaconTimeout    = 1200 * time.Millisecond
+	DefaultBeaconInterval   = 100 * time.Millisecond  // AP beacon period
+	DefaultControlPeriod    = 1 * time.Second         // client observation reports
+	DefaultProbePeriod      = 5 * time.Second         // AP voluntary re-evaluation
+	DefaultAirtimeWindow    = 500 * time.Millisecond  // lookback for airtime measurement
+	DefaultBackupScanPeriod = 3 * time.Second         // AP secondary-radio chirp scan
+	DefaultFullScanPeriod   = 10 * time.Second        // AP all-channel scan for lost nodes
+	DefaultChirpCollect     = 500 * time.Millisecond  // Tc: chirp collection before reassign
+	DefaultBeaconTimeout    = 1200 * time.Millisecond // client disconnect detection
 )
 
 // Config parameterises a WhiteFi network. Zero fields select defaults.
 type Config struct {
-	SSID             string
-	BeaconInterval   time.Duration
-	ControlPeriod    time.Duration // client observation reports
-	ProbePeriod      time.Duration // AP voluntary re-evaluation
-	AirtimeWindow    time.Duration // lookback for airtime measurement
-	BackupScanPeriod time.Duration // AP secondary-radio chirp scan
-	FullScanPeriod   time.Duration // AP all-channel scan for lost nodes
-	ChirpCollect     time.Duration // Tc: chirp collection before reassign
-	BeaconTimeout    time.Duration // client disconnect detection
-	Hysteresis       float64
+	SSID        string
+	ProbePeriod time.Duration // AP voluntary re-evaluation
+	Hysteresis  float64
 	// Shedding enables per-flow longest-queue-drop admission at the
 	// AP's egress queue (mac.Node.SetShedding) instead of the default
 	// indiscriminate tail drop — the graceful-degradation half of the
@@ -65,29 +59,8 @@ func (c *Config) fill() {
 	if c.SSID == "" {
 		c.SSID = "whitefi"
 	}
-	if c.BeaconInterval <= 0 {
-		c.BeaconInterval = DefaultBeaconInterval
-	}
-	if c.ControlPeriod <= 0 {
-		c.ControlPeriod = DefaultControlPeriod
-	}
 	if c.ProbePeriod <= 0 {
 		c.ProbePeriod = DefaultProbePeriod
-	}
-	if c.AirtimeWindow <= 0 {
-		c.AirtimeWindow = DefaultAirtimeWindow
-	}
-	if c.BackupScanPeriod <= 0 {
-		c.BackupScanPeriod = DefaultBackupScanPeriod
-	}
-	if c.FullScanPeriod <= 0 {
-		c.FullScanPeriod = DefaultFullScanPeriod
-	}
-	if c.ChirpCollect <= 0 {
-		c.ChirpCollect = DefaultChirpCollect
-	}
-	if c.BeaconTimeout <= 0 {
-		c.BeaconTimeout = DefaultBeaconTimeout
 	}
 }
 
@@ -277,8 +250,8 @@ func NewAP(eng *sim.Engine, air *mac.Air, id int, cfg Config, sensor *radio.Incu
 func (a *AP) startTicks() {
 	a.beaconTick()
 	a.afterInc(a.Cfg.ProbePeriod, a.probeTick)
-	a.afterInc(a.Cfg.BackupScanPeriod, a.backupScanTick)
-	a.afterInc(a.Cfg.FullScanPeriod, a.fullScanTick)
+	a.afterInc(DefaultBackupScanPeriod, a.backupScanTick)
+	a.afterInc(DefaultFullScanPeriod, a.fullScanTick)
 }
 
 // afterInc schedules fn gated on the AP's current incarnation: events
@@ -296,7 +269,7 @@ func (a *AP) afterInc(d time.Duration, fn func()) {
 // scheduleCollect arms the Tc chirp-collection window for the current
 // incarnation.
 func (a *AP) scheduleCollect() {
-	a.afterInc(a.Cfg.ChirpCollect, a.finishCollect)
+	a.afterInc(DefaultChirpCollect, a.finishCollect)
 }
 
 // Stop halts all AP activity.
@@ -432,7 +405,7 @@ func (a *AP) RegisterOwn(id int) { a.own[id] = true }
 // observe builds the AP's current spectrum observation.
 func (a *AP) observe() assign.Observation {
 	to := a.eng.Now()
-	from := to - a.Cfg.AirtimeWindow
+	from := to - DefaultAirtimeWindow
 	if from < 0 {
 		from = 0
 	}
@@ -496,7 +469,7 @@ func (a *AP) beaconTick() {
 			Backup:  a.backup,
 		}))
 	}
-	a.afterInc(a.Cfg.BeaconInterval, a.beaconTick)
+	a.afterInc(DefaultBeaconInterval, a.beaconTick)
 }
 
 // sent chains the CTS-to-self one SIFS after each beacon (the SIFT
@@ -764,7 +737,7 @@ func (a *AP) backupScanTick() {
 	if !a.running {
 		return
 	}
-	defer a.afterInc(a.Cfg.BackupScanPeriod, a.backupScanTick)
+	defer a.afterInc(DefaultBackupScanPeriod, a.backupScanTick)
 	if a.onBackup || a.backup == (spectrum.Channel{}) {
 		return
 	}
@@ -808,7 +781,7 @@ func (a *AP) fullScanTick() {
 	if !a.running {
 		return
 	}
-	defer a.afterInc(a.Cfg.FullScanPeriod, a.fullScanTick)
+	defer a.afterInc(DefaultFullScanPeriod, a.fullScanTick)
 	if a.onBackup {
 		return
 	}
@@ -850,7 +823,7 @@ func (a *AP) scanForChirps(u spectrum.UHF) bool {
 	if to < a.stalledUntil {
 		return false // secondary radio stalled (see StallScanner)
 	}
-	from := to - a.Cfg.BackupScanPeriod
+	from := to - DefaultBackupScanPeriod
 	if from < a.lastSwitchDone {
 		from = a.lastSwitchDone
 	}

@@ -247,17 +247,6 @@ func TestBeaconsCarrySSID(t *testing.T) {
 	}
 }
 
-func TestStaticPairThroughput(t *testing.T) {
-	eng := sim.New(11)
-	air := mac.NewAir(eng)
-	p := NewStaticPair(eng, air, 1, 2, spectrum.Chan(10, spectrum.W20), 1000)
-	eng.RunUntil(3 * time.Second)
-	if p.GoodputBytes() < 1_000_000 {
-		t.Errorf("static pair goodput = %d bytes in 3s", p.GoodputBytes())
-	}
-	p.Stop()
-}
-
 func TestStopHaltsEverything(t *testing.T) {
 	eng, air, n := build(12, 1, incumbent.SimulationBaseMap(), nil)
 	eng.RunUntil(2 * time.Second)

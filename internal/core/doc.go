@@ -6,9 +6,10 @@
 //
 // The protocol, following Section 4:
 //
-//   - The AP beacons every BeaconInterval; each beacon advertises the
-//     current channel and the 5 MHz backup channel, and is followed one
-//     SIFS later by a CTS-to-self so SIFT can fingerprint it.
+//   - The AP beacons every DefaultBeaconInterval; each beacon
+//     advertises the current channel and the 5 MHz backup channel, and
+//     is followed one SIFS later by a CTS-to-self so SIFT can
+//     fingerprint it.
 //   - Clients associate, then periodically report their spectrum map and
 //     airtime observations to the AP in control frames.
 //   - The AP periodically re-evaluates the channel with the MCham metric
@@ -18,10 +19,10 @@
 //   - When an incumbent (wireless microphone) appears on the operating
 //     channel at any node, that node vacates immediately and moves to the
 //     backup channel, where it chirps. The AP's secondary radio scans the
-//     backup channel every BackupScanPeriod; on detecting a chirp of its
-//     own network it moves its main radio there, collects the chirped
-//     spectrum maps for ChirpCollect, reassigns spectrum, and announces
-//     the new channel.
+//     backup channel every DefaultBackupScanPeriod; on detecting a chirp
+//     of its own network it moves its main radio there, collects the
+//     chirped spectrum maps for DefaultChirpCollect, reassigns spectrum,
+//     and announces the new channel.
 //
 // In the system inventory (DESIGN.md) this package stands in for the
 // WhiteFi AP and client implementations of the prototype.

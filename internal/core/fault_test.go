@@ -134,7 +134,7 @@ func TestRestartMidChirpCollectDiscardsStaleMaps(t *testing.T) {
 	n.AP.Restart()
 	// The stale finishCollect event (still queued from before the crash)
 	// must not fire into the restarted incarnation.
-	eng.RunUntil(eng.Now() + n.AP.Cfg.ChirpCollect + 100*time.Millisecond)
+	eng.RunUntil(eng.Now() + DefaultChirpCollect + 100*time.Millisecond)
 	if n.AP.collecting && len(n.AP.chirpMaps) == 0 {
 		t.Fatal("stale collection window resurrected after restart")
 	}

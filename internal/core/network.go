@@ -6,7 +6,6 @@ import (
 	"whitefi/internal/mac"
 	"whitefi/internal/radio"
 	"whitefi/internal/sim"
-	"whitefi/internal/spectrum"
 	"whitefi/internal/traffic"
 )
 
@@ -105,30 +104,3 @@ func (n *Network) GoodputBps(bytesDelta int64, window time.Duration) float64 {
 
 // GoodputBytes returns cumulative acknowledged downlink payload bytes.
 func (n *Network) GoodputBytes() int64 { return n.AP.Node.Stats.PayloadRxOK }
-
-// StaticPair is the baseline used by the OPT-5/10/20 comparisons: an
-// AP/client pair pinned to one channel with a saturating downlink flow
-// and no WhiteFi adaptation.
-type StaticPair struct {
-	AP, Client *mac.Node
-	Flow       *mac.Backlogged
-}
-
-// NewStaticPair creates the pinned pair on ch and starts its flow.
-func NewStaticPair(eng *sim.Engine, air *mac.Air, apID, clientID int, ch spectrum.Channel, payloadBytes int) *StaticPair {
-	ap := mac.NewNode(eng, air, apID, ch, true)
-	cl := mac.NewNode(eng, air, clientID, ch, false)
-	f := mac.NewBacklogged(eng, ap, clientID, payloadBytes)
-	f.Start()
-	return &StaticPair{AP: ap, Client: cl, Flow: f}
-}
-
-// GoodputBytes returns the pair's cumulative acknowledged payload bytes.
-func (p *StaticPair) GoodputBytes() int64 { return p.AP.Stats.PayloadRxOK }
-
-// Stop halts the pair.
-func (p *StaticPair) Stop() {
-	p.Flow.Stop()
-	p.AP.Detach()
-	p.Client.Detach()
-}

@@ -16,15 +16,16 @@ import (
 // (goToBackup); the AP's secondary radio finds the chirp and the main
 // radio joins (AP.joinBackup); finishCollect folds the chirped map in
 // and reassigns — while the medium aggressively prunes history
-// (Air.Retention). The chirp-scan windows reach back BackupScanPeriod,
-// so a retention horizon at least that deep must never drop history
-// the collection still needs; saturated downlink traffic keeps the log
-// well past the automatic-prune watermark so prunes actually run.
+// (Air.Retention). The chirp-scan windows reach back
+// DefaultBackupScanPeriod, so a retention horizon at least that deep
+// must never drop history the collection still needs; saturated
+// downlink traffic keeps the log well past the automatic-prune
+// watermark so prunes actually run.
 func TestDisconnectionRoundTripUnderRetentionPrune(t *testing.T) {
 	eng := sim.New(31)
 	air := mac.NewAir(eng)
-	// Deepest lookback in the run is the BackupScanPeriod chirp scan
-	// (3s with this config); retain just one second more.
+	// Deepest lookback in the run is the DefaultBackupScanPeriod chirp
+	// scan (3s); retain just one second more.
 	air.Retention = 4 * time.Second
 	base := incumbent.SimulationBaseMap()
 	mic := incumbent.NewMic(eng, 0)
@@ -32,8 +33,7 @@ func TestDisconnectionRoundTripUnderRetentionPrune(t *testing.T) {
 		{Base: base}, // AP deaf to the mic: only the chirp can tell it
 		{Base: base, Mics: []*incumbent.Mic{mic}},
 	}
-	cfg := Config{BackupScanPeriod: 3 * time.Second}
-	n := NewNetwork(eng, air, cfg, sensors)
+	n := NewNetwork(eng, air, Config{}, sensors)
 	n.StartDownlink(1000)
 
 	eng.RunUntil(2 * time.Second)

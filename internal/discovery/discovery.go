@@ -25,26 +25,17 @@ type Prober struct {
 	Scanner *radio.Scanner
 	// Map is the client's spectrum map; occupied channels are skipped.
 	Map spectrum.Map
-	// Dwell overrides DefaultDwell when positive.
-	Dwell time.Duration
 
 	// Stats
 	Scans   int // SIFT scans performed
 	Decodes int // transceiver tune-and-listen attempts
 }
 
-func (p *Prober) dwell() time.Duration {
-	if p.Dwell > 0 {
-		return p.Dwell
-	}
-	return DefaultDwell
-}
-
 // advance runs the simulation forward one dwell and returns the window
 // that elapsed.
 func (p *Prober) advance() (from, to time.Duration) {
 	from = p.Eng.Now()
-	to = from + p.dwell()
+	to = from + DefaultDwell
 	p.Eng.RunUntil(to)
 	return from, to
 }
@@ -80,7 +71,7 @@ func (p *Prober) TryDecode(ch spectrum.Channel) bool {
 // listen dwell.
 func (p *Prober) ConfirmDecode(ch spectrum.Channel) bool {
 	to := p.Eng.Now()
-	from := to - p.dwell()
+	from := to - DefaultDwell
 	if from < 0 {
 		from = 0
 	}

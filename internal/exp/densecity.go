@@ -36,10 +36,6 @@ type DenseCityConfig struct {
 	APs int
 	// ClientsPerAP is M; 0 selects 2.
 	ClientsPerAP int
-	// DensityPerKm2 is the AP density; the world side length follows
-	// from APs/DensityPerKm2. 0 selects 24 AP/km² (≈200 m spacing, a
-	// dense urban deployment).
-	DensityPerKm2 float64
 	// Seed drives placement, initial channels and mic schedules.
 	Seed int64
 	// Settle is the warm-up before MCham assignment; 0 selects 2 s.
@@ -49,10 +45,8 @@ type DenseCityConfig struct {
 	// MicDuty is the Markov mic duty cycle on every free channel; 0
 	// selects 0.08. Negative disables mics.
 	MicDuty float64
-	// TrafficInterval is the (mean) inter-packet delay per client flow
-	// (1000-byte packets); 0 selects 25 ms.
-	TrafficInterval time.Duration
-	// Traffic lists the flow models cycled over client flows; empty
+	// Traffic lists the flow models cycled over client flows (1000-byte
+	// packets, 25 ms mean interval: traffic.Spec's defaults); empty
 	// selects pure CBR, which is schedule-identical to the
 	// pre-traffic-engine scenario.
 	Traffic []traffic.Model
@@ -61,9 +55,6 @@ type DenseCityConfig struct {
 	UplinkFrac float64
 	// QueueLimit bounds each AP's egress queue; 0 keeps the MAC default.
 	QueueLimit int
-	// AssignPeriod is how often each AP re-evaluates its channel with
-	// the hysteresis selector; 0 selects 4 s.
-	AssignPeriod time.Duration
 	// Tiles, when positive, selects the tiled-metro variant of the
 	// scenario (see DenseCityTiled): the APs are spread over Tiles
 	// guard-spaced city tiles instead of one continuous square, and the
@@ -99,9 +90,6 @@ func (c DenseCityConfig) withDefaults() DenseCityConfig {
 	if c.ClientsPerAP == 0 {
 		c.ClientsPerAP = 2
 	}
-	if c.DensityPerKm2 == 0 {
-		c.DensityPerKm2 = 24
-	}
 	if c.Settle == 0 {
 		c.Settle = 2 * time.Second
 	}
@@ -109,16 +97,10 @@ func (c DenseCityConfig) withDefaults() DenseCityConfig {
 		c.Measure = 8 * time.Second
 	}
 	if c.MicDuty == 0 {
-		c.MicDuty = 0.08
+		c.MicDuty = defaultMicDuty
 	}
 	if c.MicDuty < 0 {
 		c.MicDuty = 0
-	}
-	if c.TrafficInterval == 0 {
-		c.TrafficInterval = 25 * time.Millisecond
-	}
-	if c.AssignPeriod == 0 {
-		c.AssignPeriod = 4 * time.Second
 	}
 	return c
 }
@@ -161,6 +143,16 @@ type DenseCityResult struct {
 
 // denseCityIDBase spaces BSS ids well clear of the other scenarios'.
 const denseCityIDBase = 10000
+
+const (
+	// denseCityDensityKm2 is the AP density: 24 AP/km², ≈200 m
+	// spacing, a dense urban deployment. The world side length follows
+	// from the AP count.
+	denseCityDensityKm2 = 24.0
+	// denseCityAssignPeriod is how often each AP re-evaluates its
+	// channel with the hysteresis selector.
+	denseCityAssignPeriod = 4 * time.Second
+)
 
 // denseBSS is one AP with its clients, flows, and assignment state.
 type denseBSS struct {
@@ -302,11 +294,11 @@ type cityRun struct {
 //
 // Shape: N APs are placed by a seeded binomial point process (a Poisson
 // process conditioned on its count) over a square sized for
-// DensityPerKm2; clients scatter within association range of their AP.
-// Every BSS starts on a seeded random free channel and carries CBR
-// downlink traffic. From the end of the settle window on, each AP
-// re-runs a hysteresis-selector round (assign.Selector) every
-// AssignPeriod on its own staggered phase, against its own
+// denseCityDensityKm2; clients scatter within association range of
+// their AP. Every BSS starts on a seeded random free channel and
+// carries CBR downlink traffic. From the end of the settle window on,
+// each AP re-runs a hysteresis-selector round (assign.Selector) every
+// denseCityAssignPeriod on its own staggered phase, against its own
 // position-dependent observation (radio.TrueAirtime with the AP as
 // observer, own-BSS traffic excluded, fused with the live mic map),
 // and retunes its BSS on a switch — distributed MCham assignment
@@ -375,7 +367,6 @@ func buildCity(cfg DenseCityConfig) *cityRun {
 		Models:     cfg.Traffic,
 		UplinkFrac: cfg.UplinkFrac,
 		Seed:       cfg.Seed,
-		Base:       traffic.Spec{Bytes: 1000, Interval: cfg.TrafficInterval},
 	}.Specs(cfg.APs * cfg.ClientsPerAP)
 	flowID := 0
 	r.bss = make([]*denseBSS, 0, cfg.APs)
@@ -405,9 +396,9 @@ func buildCity(cfg DenseCityConfig) *cityRun {
 	// Settle, one unconditional assignment for everyone (on the
 	// coordinator, with every shard paused on the same instant), then
 	// staggered periodic re-evaluation on each BSS's own engine: AP i
-	// re-runs its selector every AssignPeriod at phase i/N — the
-	// desynchronised probing of real independent APs, which lets each
-	// AP see its neighbors' moves instead of the whole city
+	// re-runs its selector every denseCityAssignPeriod at phase i/N —
+	// the desynchronised probing of real independent APs, which lets
+	// each AP see its neighbors' moves instead of the whole city
 	// re-optimising against a stale snapshot in lockstep. The settle
 	// round and the mic samples ride runAfterTies, so they see every
 	// other event at their instant done; on the tiled layout each such
@@ -427,8 +418,8 @@ func buildCity(cfg DenseCityConfig) *cityRun {
 		// variable they captured directly would move to the heap, one
 		// allocation per BSS.
 		b, eng := b, r.tiles[b.tile].w.eng
-		phase := cfg.AssignPeriod * time.Duration(i) / time.Duration(len(bss))
-		for t := cfg.Settle + cfg.AssignPeriod + phase; t < r.end; t += cfg.AssignPeriod {
+		phase := denseCityAssignPeriod * time.Duration(i) / time.Duration(len(bss))
+		for t := cfg.Settle + denseCityAssignPeriod + phase; t < r.end; t += denseCityAssignPeriod {
 			eng.Schedule(t, func() { r.evaluate(b, true) })
 		}
 	}
@@ -458,7 +449,7 @@ func (r *cityRun) layOutContinuous() {
 // citySide is the side length in meters of each of n equal squares
 // that together hold the config's APs at its density.
 func citySide(cfg DenseCityConfig, n int) float64 {
-	return math.Sqrt(float64(cfg.APs)/float64(n)/cfg.DensityPerKm2) * 1000
+	return math.Sqrt(float64(cfg.APs)/float64(n)/denseCityDensityKm2) * 1000
 }
 
 // newMics builds one Markov mic per free channel on eng, each on its
@@ -771,7 +762,7 @@ func (r *cityRun) finish() DenseCityResult {
 	r.result = DenseCityResult{
 		APs:                  len(bss),
 		Nodes:                nodes,
-		AreaKm2:              float64(cfg.APs) / cfg.DensityPerKm2,
+		AreaKm2:              float64(cfg.APs) / denseCityDensityKm2,
 		Tiles:                cfg.Tiles,
 		Shards:               r.shards,
 		GoodputMbps:          bits / cfg.Measure.Seconds() / 1e6,
@@ -798,14 +789,13 @@ func (r *cityRun) finish() DenseCityResult {
 func DenseCityMediumLoad(aps int, seed int64) int64 {
 	const (
 		clientsPerAP = 2
-		densityKm2   = 24.0
 		dataInterval = 10 * time.Millisecond
 		beaconEvery  = 100 * time.Millisecond
 		run          = 1 * time.Second
 	)
 	rng := rand.New(rand.NewSource(seed))
 	w := spatialWorld(seed)
-	sideM := math.Sqrt(float64(aps)/densityKm2) * 1000
+	sideM := math.Sqrt(float64(aps)/denseCityDensityKm2) * 1000
 	free := incumbent.SimulationBaseMap().FreeChannels()
 
 	type pair struct {

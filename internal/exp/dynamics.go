@@ -210,6 +210,11 @@ var micChurnDuties = []float64{0.05, 0.15, 0.30}
 // micChurnCycle is the mean busy+idle cycle length of each Markov mic.
 const micChurnCycle = 20 * time.Second
 
+// defaultMicDuty is the Markov mic duty cycle on every free channel of
+// the dense city (DenseCityConfig.MicDuty's default) and of the mixed
+// traffic scenario.
+const defaultMicDuty = 0.08
+
 // MicChurnPoint aggregates one duty-cycle level of the churn scenario.
 type MicChurnPoint struct {
 	Duty         float64

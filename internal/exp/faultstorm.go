@@ -45,8 +45,6 @@ const (
 	// faultStormQueue tightens the AP egress queue so overload bursts
 	// overflow it and exercise per-flow shedding.
 	faultStormQueue = 64
-	// faultStormLossBad is the Gilbert–Elliott bad-state loss rate.
-	faultStormLossBad = 0.35
 )
 
 // FaultStormPoint aggregates one fault-rate level of the storm.
@@ -151,7 +149,7 @@ func newStormCell(w *world, seed int64, rate float64, nc core.Config) *stormCell
 func (c *stormCell) start(detached bool) {
 	c.inj.Start()
 	if c.rate > 0 {
-		c.ge = fault.NewGilbertElliott(c.w.eng, c.w.air, fault.GEConfig{LossBad: faultStormLossBad}, c.seed*31+7)
+		c.ge = fault.NewGilbertElliott(c.w.eng, c.w.air, c.seed*31+7)
 		if detached {
 			c.ge.StartDetached()
 		} else {

@@ -28,9 +28,6 @@ type MixedTrafficConfig struct {
 	Clients int
 	// Background is the number of CBR interferer pairs; 0 selects 6.
 	Background int
-	// MicDuty is the Markov mic duty cycle per free channel; 0 selects
-	// 0.08, negative disables mics.
-	MicDuty float64
 	// Mix describes the flow population (models, uplink fraction).
 	// Mix.Seed is derived from Seed when zero.
 	Mix traffic.Mix
@@ -50,12 +47,6 @@ func (c MixedTrafficConfig) withDefaults() MixedTrafficConfig {
 	}
 	if c.Background == 0 {
 		c.Background = 6
-	}
-	if c.MicDuty == 0 {
-		c.MicDuty = 0.08
-	}
-	if c.MicDuty < 0 {
-		c.MicDuty = 0
 	}
 	if c.Settle == 0 {
 		c.Settle = 2 * time.Second
@@ -130,12 +121,10 @@ func buildMixedTraffic(cfg MixedTrafficConfig) *mixedRun {
 
 	var mics []*incumbent.Mic
 	var acts []*dynamics.Activity
-	if cfg.MicDuty > 0 {
-		for i, u := range base.FreeChannels() {
-			m := incumbent.NewMic(w.eng, u)
-			mics = append(mics, m)
-			acts = append(acts, dynamics.NewDutyActivity(w.eng, m, cfg.MicDuty, micChurnCycle, cfg.Seed*1009+int64(i)*613))
-		}
+	for i, u := range base.FreeChannels() {
+		m := incumbent.NewMic(w.eng, u)
+		mics = append(mics, m)
+		acts = append(acts, dynamics.NewDutyActivity(w.eng, m, defaultMicDuty, micChurnCycle, cfg.Seed*1009+int64(i)*613))
 	}
 	sensors := make([]*radio.IncumbentSensor, cfg.Clients+1)
 	for i := range sensors {

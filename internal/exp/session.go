@@ -195,9 +195,9 @@ func (s *citySession) Sections() []checkpoint.Section {
 		nodes += 1 + len(b.clients)
 		flows += len(b.flows)
 	}
-	eng := checkpoint.HashSection("engine", r.coord.PendingCount(), r.coord.DigestState)
+	eng := checkpoint.HashSection("engine", r.coord.Pending(), r.coord.DigestState)
 	if r.se != nil {
-		eng = checkpoint.HashSection("engine", r.se.PendingCount(), r.se.DigestState)
+		eng = checkpoint.HashSection("engine", r.se.Pending(), r.se.DigestState)
 	}
 	return []checkpoint.Section{
 		eng,
@@ -295,10 +295,7 @@ func (r *cityRun) addBSS(n int, seed int64) {
 	for _, b := range r.bss {
 		flowID += len(b.flows)
 	}
-	specs := traffic.Mix{
-		Seed: seed*977 + 13,
-		Base: traffic.Spec{Bytes: 1000, Interval: cfg.TrafficInterval},
-	}.Specs(n * cfg.ClientsPerAP)
+	specs := traffic.Mix{Seed: seed*977 + 13}.Specs(n * cfg.ClientsPerAP)
 	for i := 0; i < n; i++ {
 		b := r.placeBSS(0, rng, specs[i*cfg.ClientsPerAP:(i+1)*cfg.ClientsPerAP], flowID)
 		flowID += cfg.ClientsPerAP
@@ -392,7 +389,7 @@ func (s *mixedSession) AdvanceTo(t time.Duration) { s.run.advanceTo(t) }
 func (s *mixedSession) Sections() []checkpoint.Section {
 	r := s.run
 	return []checkpoint.Section{
-		checkpoint.HashSection("engine", r.w.eng.PendingCount(), r.w.eng.DigestState),
+		checkpoint.HashSection("engine", r.w.eng.Pending(), r.w.eng.DigestState),
 		checkpoint.HashSection("air", r.w.air.NodeCount(), r.w.air.DigestState),
 		protocolSection(r.net),
 		checkpoint.HashSection("flows", len(r.flows), func(d *checkpoint.Digest) {
@@ -511,7 +508,7 @@ func (s *stormSession) AdvanceTo(t time.Duration) { s.run.advanceTo(t) }
 func (s *stormSession) Sections() []checkpoint.Section {
 	c := s.run.cell
 	return []checkpoint.Section{
-		checkpoint.HashSection("engine", c.w.eng.PendingCount(), c.w.eng.DigestState),
+		checkpoint.HashSection("engine", c.w.eng.Pending(), c.w.eng.DigestState),
 		checkpoint.HashSection("air", c.w.air.NodeCount(), c.w.air.DigestState),
 		protocolSection(c.net),
 		checkpoint.HashSection("injector", c.inj.EventCount(), c.inj.DigestState),

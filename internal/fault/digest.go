@@ -27,12 +27,12 @@ func (in *Injector) DigestState(d *checkpoint.Digest) {
 func (in *Injector) EventCount() int { return len(in.Events) }
 
 // DigestState writes the loss overlay's canonical state to d: the
-// configuration, the running flag, and the current Gilbert–Elliott
-// channel state. The flip/filter RNG position is excluded like every
-// other RNG stream; it is pinned transitively by the medium's
-// FilterDrops counter and delivery record.
+// per-state loss probabilities, the running flag, and the current
+// Gilbert–Elliott channel state. The flip/filter RNG position is
+// excluded like every other RNG stream; it is pinned transitively by
+// the medium's FilterDrops counter and delivery record.
 func (g *GilbertElliott) DigestState(d *checkpoint.Digest) {
-	d.Row("ge").Float("lossgood", g.Cfg.LossGood).Float("lossbad", g.Cfg.LossBad).Bool("bad", g.bad).
+	d.Row("ge").Float("lossgood", 0).Float("lossbad", geLossBad).Bool("bad", g.bad).
 		Bool("running", g.running).Bool("detached", g.detached).Int("drops", int64(g.Drops)).
 		Int("deliveries", int64(g.Deliveries)).End()
 }

@@ -27,10 +27,11 @@ func refInjectorDigest(in *Injector, w io.Writer) {
 }
 
 // refGEDigest is the fmt rendering that GilbertElliott.DigestState
-// replaced.
+// replaced; the loss probabilities are the good state's 0 and
+// geLossBad.
 func refGEDigest(g *GilbertElliott, w io.Writer) {
 	fmt.Fprintf(w, "ge lossgood=%v lossbad=%v bad=%t running=%t detached=%t drops=%d deliveries=%d\n",
-		g.Cfg.LossGood, g.Cfg.LossBad, g.bad, g.running, g.detached, g.Drops, g.Deliveries)
+		0.0, geLossBad, g.bad, g.running, g.detached, g.Drops, g.Deliveries)
 }
 
 // refEventLine is the fmt rendering that Event.Line replaced.
@@ -84,7 +85,7 @@ func TestFaultDigestsMatchFmt(t *testing.T) {
 		if got := digestText(in.DigestState); !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("injector %d:\n got %q\nwant %q", i, got, want.Bytes())
 		}
-		g := &GilbertElliott{Cfg: GEConfig{LossGood: digestFloat(r), LossBad: digestFloat(r)}, Drops: int(digestInt(r)),
+		g := &GilbertElliott{Drops: int(digestInt(r)),
 			Deliveries: int(digestInt(r)), bad: r.Intn(2) == 0, running: r.Intn(2) == 0, detached: r.Intn(2) == 0}
 		want.Reset()
 		refGEDigest(g, &want)

@@ -38,57 +38,30 @@ func (e Event) Line() string {
 	return string(strconv.AppendFloat(append(b, " dur="...), e.Dur.Seconds(), 'f', 3, 64))
 }
 
-// Default fault-schedule means (see Config).
+// Fault-schedule means at Rate 1. Each is the mean of an exponential
+// holding time, and Config.Rate divides it.
 const (
-	DefaultCrashEvery    = 30 * time.Second
-	DefaultCrashDowntime = 5 * time.Second
-	DefaultStallEvery    = 20 * time.Second
-	DefaultStallFor      = 4 * time.Second
-	DefaultOverloadEvery = 15 * time.Second
+	DefaultCrashEvery    = 30 * time.Second // between crashes, per target
+	DefaultCrashDowntime = 5 * time.Second  // downtime before restart
+	DefaultStallEvery    = 20 * time.Second // between scanner stalls
+	DefaultStallFor      = 4 * time.Second  // stall length
+	DefaultOverloadEvery = 15 * time.Second // between load bursts
 )
 
-// Config parameterises an Injector. Every duration is the MEAN of an
-// exponential holding time; Rate scales all event rates (1 = the
-// default schedule, 2 = twice as many faults, 0 or negative = the
-// injector never fires — the fault-free baseline of a rate sweep).
-// Zero durations select defaults.
+// Every overload burst offers overloadFrames data frames of
+// overloadBytes payload bytes each.
+const (
+	overloadFrames = 256
+	overloadBytes  = 1000
+)
+
+// Config parameterises an Injector. Rate scales all event rates of the
+// fixed schedule (1 = the Default* means, 2 = twice as many faults, 0
+// or negative = the injector never fires — the fault-free baseline of
+// a rate sweep).
 type Config struct {
 	Seed int64
 	Rate float64
-
-	CrashEvery    time.Duration // mean interval between crashes, per target
-	CrashDowntime time.Duration // mean downtime before restart
-
-	StallEvery time.Duration // mean interval between scanner stalls
-	StallFor   time.Duration // mean stall length
-
-	OverloadEvery  time.Duration // mean interval between load bursts
-	OverloadFrames int           // frames per burst
-	OverloadBytes  int           // payload bytes per frame
-}
-
-func (c *Config) fill() {
-	if c.CrashEvery == 0 {
-		c.CrashEvery = DefaultCrashEvery
-	}
-	if c.CrashDowntime == 0 {
-		c.CrashDowntime = DefaultCrashDowntime
-	}
-	if c.StallEvery == 0 {
-		c.StallEvery = DefaultStallEvery
-	}
-	if c.StallFor == 0 {
-		c.StallFor = DefaultStallFor
-	}
-	if c.OverloadEvery == 0 {
-		c.OverloadEvery = DefaultOverloadEvery
-	}
-	if c.OverloadFrames == 0 {
-		c.OverloadFrames = 256
-	}
-	if c.OverloadBytes == 0 {
-		c.OverloadBytes = 1000
-	}
 }
 
 // entry is one registered target with its per-kind RNG streams.
@@ -118,7 +91,6 @@ type Injector struct {
 
 // NewInjector creates a stopped injector.
 func NewInjector(eng *sim.Engine, cfg Config) *Injector {
-	cfg.fill()
 	return &Injector{Cfg: cfg, eng: eng}
 }
 
@@ -144,15 +116,9 @@ func (in *Injector) Start() {
 	gen := in.gen
 	for _, e := range in.targets {
 		e := e
-		if in.Cfg.CrashEvery > 0 {
-			in.after(gen, in.hold(e.crash, in.Cfg.CrashEvery), func() { in.crashNow(gen, e) })
-		}
-		if in.Cfg.StallEvery > 0 {
-			in.after(gen, in.hold(e.stall, in.Cfg.StallEvery), func() { in.stallNow(gen, e) })
-		}
-		if in.Cfg.OverloadEvery > 0 {
-			in.after(gen, in.hold(e.load, in.Cfg.OverloadEvery), func() { in.overloadNow(gen, e) })
-		}
+		in.after(gen, in.hold(e.crash, DefaultCrashEvery), func() { in.crashNow(gen, e) })
+		in.after(gen, in.hold(e.stall, DefaultStallEvery), func() { in.stallNow(gen, e) })
+		in.after(gen, in.hold(e.load, DefaultOverloadEvery), func() { in.overloadNow(gen, e) })
 	}
 }
 
@@ -176,8 +142,8 @@ func (in *Injector) Quiesce() {
 	}
 }
 
-// hold draws an exponential holding time with the configured mean
-// divided by Rate.
+// hold draws an exponential holding time with the given mean divided
+// by Rate.
 func (in *Injector) hold(rng *rand.Rand, mean time.Duration) time.Duration {
 	return dynamics.ExpHolding(rng, time.Duration(float64(mean)/in.Cfg.Rate))
 }
@@ -196,7 +162,7 @@ func (in *Injector) record(kind string, target int, dur time.Duration) {
 }
 
 func (in *Injector) crashNow(gen int, e *entry) {
-	down := in.hold(e.crash, in.Cfg.CrashDowntime)
+	down := in.hold(e.crash, DefaultCrashDowntime)
 	e.t.Crash()
 	e.down = true
 	in.record("crash", e.id, down)
@@ -206,19 +172,19 @@ func (in *Injector) crashNow(gen int, e *entry) {
 		in.record("restart", e.id, 0)
 		// The next inter-crash interval starts after the restart, so a
 		// target is never re-crashed while still down.
-		in.after(gen, in.hold(e.crash, in.Cfg.CrashEvery), func() { in.crashNow(gen, e) })
+		in.after(gen, in.hold(e.crash, DefaultCrashEvery), func() { in.crashNow(gen, e) })
 	})
 }
 
 func (in *Injector) stallNow(gen int, e *entry) {
-	d := in.hold(e.stall, in.Cfg.StallFor)
+	d := in.hold(e.stall, DefaultStallFor)
 	e.t.StallScanner(d)
 	in.record("stall", e.id, d)
-	in.after(gen, in.hold(e.stall, in.Cfg.StallEvery), func() { in.stallNow(gen, e) })
+	in.after(gen, in.hold(e.stall, DefaultStallEvery), func() { in.stallNow(gen, e) })
 }
 
 func (in *Injector) overloadNow(gen int, e *entry) {
-	e.t.InjectLoad(in.Cfg.OverloadFrames, in.Cfg.OverloadBytes)
+	e.t.InjectLoad(overloadFrames, overloadBytes)
 	in.record("overload", e.id, 0)
-	in.after(gen, in.hold(e.load, in.Cfg.OverloadEvery), func() { in.overloadNow(gen, e) })
+	in.after(gen, in.hold(e.load, DefaultOverloadEvery), func() { in.overloadNow(gen, e) })
 }

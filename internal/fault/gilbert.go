@@ -10,33 +10,14 @@ import (
 	"whitefi/internal/sim"
 )
 
-// Default Gilbert–Elliott parameters (see GEConfig).
+// Gilbert–Elliott parameters: a mostly-clean channel with sub-second
+// fade bursts. The good state is lossless; the bad state drops about a
+// third of the frames.
 const (
-	DefaultGEMeanGood = 5 * time.Second
-	DefaultGEMeanBad  = 300 * time.Millisecond
+	DefaultGEMeanGood = 5 * time.Second        // mean sojourn in the good state
+	DefaultGEMeanBad  = 300 * time.Millisecond // mean sojourn in the bad state
+	geLossBad         = 0.35                   // per-delivery drop probability while bad
 )
-
-// GEConfig parameterises a Gilbert–Elliott loss overlay: a two-state
-// Markov channel with exponential mean sojourn times and a per-state
-// frame-loss probability. The defaults model a mostly-clean channel
-// with sub-second fade bursts dropping about a third of the frames.
-// Zero durations select defaults; loss probabilities are taken as
-// given (the zero value means lossless in that state).
-type GEConfig struct {
-	MeanGood time.Duration // mean sojourn in the good state
-	MeanBad  time.Duration // mean sojourn in the bad state
-	LossGood float64       // per-delivery drop probability while good
-	LossBad  float64       // per-delivery drop probability while bad
-}
-
-func (c *GEConfig) fill() {
-	if c.MeanGood == 0 {
-		c.MeanGood = DefaultGEMeanGood
-	}
-	if c.MeanBad == 0 {
-		c.MeanBad = DefaultGEMeanBad
-	}
-}
 
 // GilbertElliott is a bursty-loss overlay on a mac.Air medium: while
 // started, it owns the medium's DropFilter and suppresses candidate
@@ -44,10 +25,9 @@ func (c *GEConfig) fill() {
 // engine events with exponential holding times; both the flips and the
 // per-delivery draws come from the overlay's own seeded RNG, consumed
 // in deterministic engine order, so the loss realisation is a pure
-// function of (seed, config). Carrier sense is unaffected — a dropped
+// function of the seed. Carrier sense is unaffected — a dropped
 // frame still occupied the air.
 type GilbertElliott struct {
-	Cfg GEConfig
 	// Drops counts suppressed deliveries; Deliveries counts the ones
 	// let through.
 	Drops      int
@@ -64,9 +44,8 @@ type GilbertElliott struct {
 }
 
 // NewGilbertElliott creates a stopped overlay for air.
-func NewGilbertElliott(eng *sim.Engine, air *mac.Air, cfg GEConfig, seed int64) *GilbertElliott {
-	cfg.fill()
-	g := &GilbertElliott{Cfg: cfg, eng: eng, air: air, rng: rand.New(rand.NewSource(seed))}
+func NewGilbertElliott(eng *sim.Engine, air *mac.Air, seed int64) *GilbertElliott {
+	g := &GilbertElliott{eng: eng, air: air, rng: rand.New(rand.NewSource(seed))}
 	g.flipFn = g.flip
 	return g
 }
@@ -84,7 +63,7 @@ func (g *GilbertElliott) Start() {
 	g.detached = false
 	g.bad = false
 	g.air.DropFilter = g.filter
-	g.ev = g.eng.After(dynamics.ExpHolding(g.rng, g.Cfg.MeanGood), g.flipFn)
+	g.ev = g.eng.After(dynamics.ExpHolding(g.rng, DefaultGEMeanGood), g.flipFn)
 }
 
 // StartDetached begins state flips without claiming the medium's
@@ -102,7 +81,7 @@ func (g *GilbertElliott) StartDetached() {
 	g.running = true
 	g.detached = true
 	g.bad = false
-	g.ev = g.eng.After(dynamics.ExpHolding(g.rng, g.Cfg.MeanGood), g.flipFn)
+	g.ev = g.eng.After(dynamics.ExpHolding(g.rng, DefaultGEMeanGood), g.flipFn)
 }
 
 // FilterFrame applies the overlay's per-delivery loss draw to one
@@ -132,19 +111,16 @@ func (g *GilbertElliott) flip() {
 		return
 	}
 	g.bad = !g.bad
-	mean := g.Cfg.MeanGood
+	mean := DefaultGEMeanGood
 	if g.bad {
-		mean = g.Cfg.MeanBad
+		mean = DefaultGEMeanBad
 	}
 	g.ev = g.eng.After(dynamics.ExpHolding(g.rng, mean), g.flipFn)
 }
 
 func (g *GilbertElliott) filter(phy.Frame, int, int) bool {
-	p := g.Cfg.LossGood
-	if g.bad {
-		p = g.Cfg.LossBad
-	}
-	if p > 0 && g.rng.Float64() < p {
+	// The good state is lossless and draws nothing.
+	if g.bad && g.rng.Float64() < geLossBad {
 		g.Drops++
 		return true
 	}

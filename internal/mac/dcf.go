@@ -55,10 +55,6 @@ type Node struct {
 	// to chain the CTS-to-self one SIFS after each beacon.
 	OnSent func(phy.Frame)
 
-	// FlowKey classifies a data frame into a flow for the shed policy;
-	// nil keys by destination id (one downlink flow per client).
-	FlowKey func(f phy.Frame) int
-
 	queue    []phy.Frame
 	maxQueue int
 	shed     bool
@@ -251,26 +247,19 @@ func (n *Node) SetDown(down bool) {
 // Down reports whether the radio is powered off (see SetDown).
 func (n *Node) Down() bool { return n.down }
 
-// flowKey classifies f for the shed policy.
-func (n *Node) flowKey(f phy.Frame) int {
-	if n.FlowKey != nil {
-		return n.FlowKey(f)
-	}
-	return f.Dst
-}
-
 // shedFor tries to make room for f in a full queue by evicting the
 // oldest queued data frame of the flow with the most queued data frames
-// (ties broken toward the lower flow key, keeping the choice
-// deterministic). Management frames are never evicted, and a data frame
-// belonging to a largest flow itself is simply rejected — that sheds
-// the same flow without queue surgery. The head-of-line frame is exempt
-// while it is on air. Reports whether room was made.
+// (a flow is a destination id, one downlink flow per client; ties
+// broken toward the lower id, keeping the choice deterministic).
+// Management frames are never evicted, and a data frame belonging to a
+// largest flow itself is simply rejected — that sheds the same flow
+// without queue surgery. The head-of-line frame is exempt while it is
+// on air. Reports whether room was made.
 func (n *Node) shedFor(f phy.Frame) bool {
 	counts := map[int]int{}
 	for i := range n.queue {
 		if n.queue[i].Kind == phy.KindData {
-			counts[n.flowKey(n.queue[i])]++
+			counts[n.queue[i].Dst]++
 		}
 	}
 	if len(counts) == 0 {
@@ -282,7 +271,7 @@ func (n *Node) shedFor(f phy.Frame) bool {
 			victim, max = k, c
 		}
 	}
-	if f.Kind == phy.KindData && counts[n.flowKey(f)] >= max {
+	if f.Kind == phy.KindData && counts[f.Dst] >= max {
 		return false
 	}
 	start := 0
@@ -291,7 +280,7 @@ func (n *Node) shedFor(f phy.Frame) bool {
 	}
 	for i := start; i < len(n.queue); i++ {
 		q := n.queue[i]
-		if q.Kind == phy.KindData && n.flowKey(q) == victim {
+		if q.Kind == phy.KindData && q.Dst == victim {
 			last := len(n.queue) - 1
 			copy(n.queue[i:], n.queue[i+1:])
 			n.queue[last] = phy.Frame{} // don't pin the evicted Meta

@@ -195,7 +195,6 @@ func (m *MarkovOnOff) step() {
 type BackgroundPair struct {
 	AP, Client *Node
 	Flow       *CBR
-	Churn      *MarkovOnOff // nil unless churned
 }
 
 // NewBackgroundPair creates the pair on channel ch with the given CBR
@@ -210,9 +209,6 @@ func NewBackgroundPair(eng *sim.Engine, air *Air, apID, clientID int, ch spectru
 
 // Stop halts the pair's traffic and detaches both nodes.
 func (p *BackgroundPair) Stop() {
-	if p.Churn != nil {
-		p.Churn.Stop()
-	}
 	p.Flow.Stop()
 	p.AP.Detach()
 	p.Client.Detach()

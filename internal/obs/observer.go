@@ -32,9 +32,6 @@ type Observer struct {
 	// Out, when non-nil, receives one JSON line per snapshot (and per
 	// wall record when Wall is set).
 	Out io.Writer
-	// TraceCap overrides the tracer ring capacity (DefaultTraceCap
-	// when zero).
-	TraceCap int
 
 	eng    *sim.Engine
 	tracer *Tracer
@@ -52,11 +49,7 @@ type Observer struct {
 // before Start and before recording any spans.
 func (o *Observer) Attach(eng *sim.Engine) {
 	o.eng = eng
-	cap := o.TraceCap
-	if cap == 0 {
-		cap = DefaultTraceCap
-	}
-	o.tracer = NewTracer(eng, cap)
+	o.tracer = NewTracer(eng, DefaultTraceCap)
 	if o.Reg == nil {
 		o.Reg = NewRegistry()
 	}

@@ -26,16 +26,11 @@ func RegisterEngine(r *Registry, eng *sim.Engine) {
 	r.GaugeFunc("engine.free_events", func() float64 { return float64(eng.FreeEvents()) })
 }
 
-// RegisterAir registers the medium's delivery counters and pool/arena
-// occupancy gauges under the air.* prefix.
+// RegisterAir registers the medium's delivery counters (RegisterAirs
+// over the one medium) and pool/arena occupancy gauges under the air.*
+// prefix.
 func RegisterAir(r *Registry, air *mac.Air) {
-	c := &air.Counters
-	r.CounterFunc("air.launches", func() int64 { return c.Launches })
-	r.CounterFunc("air.delivered", func() int64 { return c.Delivered })
-	r.CounterFunc("air.collisions", func() int64 { return c.Collisions })
-	r.CounterFunc("air.below_floor", func() int64 { return c.BelowFloor })
-	r.CounterFunc("air.half_duplex", func() int64 { return c.HalfDuplex })
-	r.CounterFunc("air.filter_drops", func() int64 { return c.FilterDrops })
+	RegisterAirs(r, []*mac.Air{air})
 	r.GaugeFunc("air.arena_live", func() float64 { return float64(air.ArenaLive()) })
 	r.GaugeFunc("air.arena_cap", func() float64 { return float64(air.ArenaCap()) })
 	r.GaugeFunc("air.active", func() float64 { return float64(air.ActiveCount()) })

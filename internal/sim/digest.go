@@ -55,10 +55,6 @@ func (e *Engine) pendingSlots() []slot {
 	return evs
 }
 
-// PendingCount reports the number of queued (not yet fired) events —
-// the item count of the engine's checkpoint section.
-func (e *Engine) PendingCount() int { return e.Pending() }
-
 // DigestState writes the canonical state of every member engine:
 // the global engine first, then each shard in shard order, prefixed
 // with a header carrying the shard layout and barrier floor.
@@ -69,14 +65,4 @@ func (s *ShardedEngine) DigestState(d *checkpoint.Digest) {
 		d.Row("shard").Num(int64(i)).End()
 		sh.DigestState(d)
 	}
-}
-
-// PendingCount reports the total queued events across the global and
-// shard engines.
-func (s *ShardedEngine) PendingCount() int {
-	n := s.global.PendingCount()
-	for _, sh := range s.shards {
-		n += sh.PendingCount()
-	}
-	return n
 }

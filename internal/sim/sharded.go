@@ -93,19 +93,6 @@ func (s *ShardedEngine) Now() time.Duration { return s.global.Now() }
 // discarded.
 func (s *ShardedEngine) Floor() time.Duration { return s.floor }
 
-// MinShardNow returns the minimum shard clock. Between windows (the
-// only time the coordinator or tests should ask) every shard sits on
-// the same barrier, so it equals Now.
-func (s *ShardedEngine) MinShardNow() time.Duration {
-	min := time.Duration(1<<63 - 1)
-	for _, sh := range s.shards {
-		if n := sh.Now(); n < min {
-			min = n
-		}
-	}
-	return min
-}
-
 // RunUntil advances the whole sharded world to deadline: windows of
 // parallel shard execution separated by single-threaded barriers at
 // each global event time. On return every shard and the global engine

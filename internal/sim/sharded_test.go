@@ -38,8 +38,13 @@ func TestShardedBarrierOrder(t *testing.T) {
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
-	if se.Now() != 20*time.Millisecond || se.MinShardNow() != 20*time.Millisecond {
-		t.Fatalf("clocks after run: global %v, min shard %v", se.Now(), se.MinShardNow())
+	if se.Now() != 20*time.Millisecond {
+		t.Fatalf("global clock after run = %v, want 20ms", se.Now())
+	}
+	for i := 0; i < se.Shards(); i++ {
+		if got := se.Shard(i).Now(); got != 20*time.Millisecond {
+			t.Fatalf("shard %d clock after run = %v, want 20ms", i, got)
+		}
 	}
 }
 

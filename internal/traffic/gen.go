@@ -139,13 +139,11 @@ type Mix struct {
 	UplinkFrac float64
 	// Seed drives direction assignment and per-flow generator seeds.
 	Seed int64
-	// Base overrides the per-flow Spec template (Model, Uplink and Seed
-	// fields are overwritten per flow).
-	Base Spec
 }
 
 // Specs materializes n per-flow Specs. Deterministic in (Mix, n): flow
-// i gets Models[i%len] and its direction and seed from the mix RNG.
+// i gets Models[i%len] and its direction and seed from the mix RNG;
+// every other field is Spec's default.
 func (m Mix) Specs(n int) []Spec {
 	models := m.Models
 	if len(models) == 0 {
@@ -154,11 +152,11 @@ func (m Mix) Specs(n int) []Spec {
 	rng := rand.New(rand.NewSource(m.Seed*6151 + 17))
 	out := make([]Spec, n)
 	for i := range out {
-		s := m.Base
-		s.Model = models[i%len(models)]
-		s.Uplink = rng.Float64() < m.UplinkFrac
-		s.Seed = m.Seed*7919 + int64(i)*271 + 5
-		out[i] = s.WithDefaults()
+		out[i] = Spec{
+			Model:  models[i%len(models)],
+			Uplink: rng.Float64() < m.UplinkFrac,
+			Seed:   m.Seed*7919 + int64(i)*271 + 5,
+		}.WithDefaults()
 	}
 	return out
 }
