@@ -18,7 +18,7 @@ import (
 // Protocol timing. DefaultProbePeriod is Config.ProbePeriod's default;
 // the others are fixed.
 const (
-	DefaultBeaconInterval   = 100 * time.Millisecond  // AP beacon period
+	DefaultBeaconInterval   = radio.BeaconInterval    // AP beacon period
 	DefaultControlPeriod    = 1 * time.Second         // client observation reports
 	DefaultProbePeriod      = 5 * time.Second         // AP voluntary re-evaluation
 	DefaultAirtimeWindow    = 500 * time.Millisecond  // lookback for airtime measurement

@@ -104,8 +104,7 @@ func TestActivityDeterminismAndDuty(t *testing.T) {
 }
 
 // TestUpdaterAppliesEpochs: positions land on the medium each epoch,
-// sensors and stations ride along, and PosGen advances so cached link
-// budgets refresh.
+// sensors and stations ride along, and nothing moves after Stop.
 func TestUpdaterAppliesEpochs(t *testing.T) {
 	eng := sim.New(1)
 	air := mac.NewAir(eng)
@@ -135,17 +134,13 @@ func TestUpdaterAppliesEpochs(t *testing.T) {
 	if len(hookTimes) != 5 { // t=0 (Start) + 4 epochs
 		t.Fatalf("epoch hooks fired %d times, want 5", len(hookTimes))
 	}
-	if g := air.PosGen(); g == 0 {
-		t.Fatal("PosGen did not advance")
-	}
 	if pos, ok := u.PositionAt(5, 500*time.Millisecond); !ok || !almost(pos.X, 50, 1e-6) {
 		t.Fatalf("Mobility.PositionAt = %+v/%v, want x=50", pos, ok)
 	}
 
 	u.Stop()
-	gen := air.PosGen()
 	eng.RunUntil(2 * time.Second)
-	if air.PosGen() != gen {
+	if air.PositionOf(5) != p {
 		t.Fatal("updater kept moving nodes after Stop")
 	}
 }

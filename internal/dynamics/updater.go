@@ -16,9 +16,8 @@ const DefaultEpoch = 100 * time.Millisecond
 
 // Updater is the epoch ticker that makes mac.Air positions a function of
 // time. Every epoch it batch-applies the tracked trajectories: node
-// positions on the medium (one PosGen advance per move, so the medium's
-// pair-loss cache flushes per epoch instead of recomputing per query),
-// the Pos of any incumbent sensor riding on a moving node, and the Pos
+// positions on the medium (a move within one grid cell costs the
+// medium no index work), the Pos of any incumbent sensor riding on a moving node, and the Pos
 // of mobile incumbent stations, whose detection footprints then sweep
 // across the network. Registered epoch hooks (e.g. scanner threshold
 // recalibration) run after the batch, in registration order — all

@@ -456,16 +456,10 @@ func citySide(cfg DenseCityConfig, n int) float64 {
 // own seeded schedule (audible city-wide; spatially scoped incumbents
 // are the Station model, exercised by the spatial scenarios).
 func (r *cityRun) newMics(eng *sim.Engine) ([]*incumbent.Mic, []*dynamics.Activity) {
-	var mics []*incumbent.Mic
-	var acts []*dynamics.Activity
-	if r.cfg.MicDuty > 0 {
-		for i, u := range r.free {
-			m := incumbent.NewMic(eng, u)
-			mics = append(mics, m)
-			acts = append(acts, dynamics.NewDutyActivity(eng, m, r.cfg.MicDuty, micChurnCycle, r.cfg.Seed*1009+int64(i)*613))
-		}
+	if r.cfg.MicDuty <= 0 {
+		return nil, nil
 	}
-	return mics, acts
+	return markovMics(eng, r.free, r.cfg.MicDuty, r.cfg.Seed)
 }
 
 // micMapOf returns the base map with every active mic's channel

@@ -9,6 +9,7 @@ import (
 	"whitefi/internal/incumbent"
 	"whitefi/internal/mac"
 	"whitefi/internal/radio"
+	"whitefi/internal/sim"
 	"whitefi/internal/spectrum"
 	"whitefi/internal/trace"
 )
@@ -210,6 +211,20 @@ var micChurnDuties = []float64{0.05, 0.15, 0.30}
 // micChurnCycle is the mean busy+idle cycle length of each Markov mic.
 const micChurnCycle = 20 * time.Second
 
+// markovMics builds one Markov mic per channel of free on eng, each
+// flipping busy/idle at the given duty cycle over micChurnCycle on its
+// own schedule, seeded seed*1009 + i*613. MicChurn, the mixed-traffic
+// scenario and the dense city all build their mics here.
+func markovMics(eng *sim.Engine, free []spectrum.UHF, duty float64, seed int64) ([]*incumbent.Mic, []*dynamics.Activity) {
+	mics := make([]*incumbent.Mic, len(free))
+	acts := make([]*dynamics.Activity, len(free))
+	for i, u := range free {
+		mics[i] = incumbent.NewMic(eng, u)
+		acts[i] = dynamics.NewDutyActivity(eng, mics[i], duty, micChurnCycle, seed*1009+int64(i)*613)
+	}
+	return mics, acts
+}
+
 // defaultMicDuty is the Markov mic duty cycle on every free channel of
 // the dense city (DenseCityConfig.MicDuty's default) and of the mixed
 // traffic scenario.
@@ -236,13 +251,7 @@ type MicChurnPoint struct {
 func micChurnRun(seed int64, duty float64) MicChurnPoint {
 	w := newWorld(seed)
 	base := incumbent.SimulationBaseMap()
-	free := base.FreeChannels()
-	mics := make([]*incumbent.Mic, len(free))
-	acts := make([]*dynamics.Activity, len(free))
-	for i, ufree := range free {
-		mics[i] = incumbent.NewMic(w.eng, ufree)
-		acts[i] = dynamics.NewDutyActivity(w.eng, mics[i], duty, micChurnCycle, seed*1009+int64(i)*613)
-	}
+	mics, acts := markovMics(w.eng, base.FreeChannels(), duty, seed)
 	apSensor := &radio.IncumbentSensor{Base: base, Mics: mics}
 	clSensor := &radio.IncumbentSensor{Base: base, Mics: mics}
 	net := core.NewNetwork(w.eng, w.air, core.Config{}, []*radio.IncumbentSensor{apSensor, clSensor})

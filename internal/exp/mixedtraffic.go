@@ -119,13 +119,7 @@ func buildMixedTraffic(cfg MixedTrafficConfig) *mixedRun {
 	w := newWorld(cfg.Seed)
 	base := incumbent.SimulationBaseMap()
 
-	var mics []*incumbent.Mic
-	var acts []*dynamics.Activity
-	for i, u := range base.FreeChannels() {
-		m := incumbent.NewMic(w.eng, u)
-		mics = append(mics, m)
-		acts = append(acts, dynamics.NewDutyActivity(w.eng, m, defaultMicDuty, micChurnCycle, cfg.Seed*1009+int64(i)*613))
-	}
+	mics, acts := markovMics(w.eng, base.FreeChannels(), defaultMicDuty, cfg.Seed)
 	sensors := make([]*radio.IncumbentSensor, cfg.Clients+1)
 	for i := range sensors {
 		sensors[i] = &radio.IncumbentSensor{Base: base, Mics: mics}

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -40,6 +41,9 @@ type Transmission struct {
 	// from SrcPos even if the source moves while the frame is in flight
 	// (see SetPosition).
 	SrcPos Position
+	// srcSlot is Src's slot in the medium's slot table (see Air.slotFor),
+	// set by Transmit and by materialize.
+	srcSlot int32
 }
 
 // Duration returns the on-air duration.
@@ -146,7 +150,7 @@ type Air struct {
 	logCh     []spectrum.Channel
 	logPower  []float64
 	logSrcPos []Position
-	logSrc    []int32
+	logSrc    []int32 // the source's slot, not its id
 	logUID    []uint64
 	logNoCS   []bool
 	logFrame  []phy.Frame
@@ -168,31 +172,42 @@ type Air struct {
 	// pruneAt is the log length at which the next automatic prune runs.
 	pruneAt int
 
-	// nodes holds the attached nodes sorted by id: iteration is a plain
-	// slice walk (deterministic and map-free — the per-event eachNode
-	// fan-out is the MAC hot path) and lookup is a binary search. Each
-	// node records its own index here (airNode.idx), which attach and
-	// detach keep current as they shift the slice.
+	// nodes holds the attached nodes sorted by id: the flat fan-out is a
+	// plain slice walk in ascending id, and grid queries read their
+	// candidates back from it by index. Each node records its own index
+	// here (airNode.idx), which attach and detach keep current as they
+	// shift the slice.
 	nodes   []*airNode
 	nextUID uint64
 
-	// pos maps node id to position. Ids here are not limited to
-	// attached MAC nodes: standalone scanners and spatially placed
-	// incumbent transmitters reserve ids too. Absent ids sit at the
+	// The slot table. Every id the medium sees — attached MAC nodes,
+	// standalone scanners, spatially placed incumbents, observers, and
+	// transmitters that never attach — gets a dense slot the first time
+	// it appears (slotFor), and slots are never reused. Per-event state
+	// carries slots (airNode.slot, Transmission.srcSlot, the log's source
+	// column, the pinned sensed sets), so the fan-outs, delivery, the
+	// interference scan and the observation sweeps index these slices
+	// instead of hashing ids; slotOf is consulted only where an id
+	// arrives from outside the medium.
+	slotOf map[int]int32
+	slotID []int
+	// slotPos is each slot's position; ids never placed sit at the
 	// origin, which under a nil/flat model reproduces legacy behavior.
-	pos map[int]Position
-	// posGen counts position updates. Consumers caching anything derived
-	// from positions (link budgets, footprints) compare generations
-	// instead of re-deriving per query; the medium's own pair-loss cache
-	// below works the same way.
-	posGen uint64
-
-	// lossCache memoizes Prop.LossDB per id pair for the current position
-	// generation; lossGen records the generation it was built against.
-	// An epoch of batched moves therefore costs one cache flush, not a
-	// per-query model evaluation forever after.
-	lossCache map[uint64]float64
-	lossGen   uint64
+	slotPos []Position
+	// slotPlaced records whether SetPosition ever moved the id, the rule
+	// that decides which ids the digest's pos rows list.
+	slotPlaced []bool
+	// slotNode is the attached node of each slot, nil when the id is not
+	// attached.
+	slotNode []*airNode
+	// slotExcl and slotAPs are per-slot scratch of the observation
+	// queries: the exclusion mark, and the mask of UHF channels on which
+	// the source has been counted as an active AP. exclMarked and
+	// apMarked list the slots set, and every query leaves both all zero.
+	slotExcl   []bool
+	slotAPs    []uint32
+	exclMarked []int32
+	apMarked   []int32
 
 	// sensedPool recycles the pinned carrier-sense sets of finished
 	// transmissions.
@@ -243,20 +258,22 @@ type Air struct {
 	// scratchMark is the candidate bitset of grid queries, one bit per
 	// index of nodes; every query leaves it all-zero.
 	scratchMark []uint64
-	// Per-channel observation scratch reused across ObservationAt calls,
-	// and the active-AP set reused by ActiveAPsAt — the per-round
-	// full-band observation is the assignment hot path, and rebuilding
-	// 30 interval slices plus the seen-maps per call dominated its
+	// Per-channel interval scratch reused across ObservationAt calls —
+	// the per-round full-band observation is the assignment hot path,
+	// and rebuilding 30 interval slices per call dominated its
 	// allocation profile.
-	obsIvs  [spectrum.NumUHF][]busyInterval
-	obsSeen [spectrum.NumUHF]map[int]bool
-	apsSeen map[int]bool
+	obsIvs [spectrum.NumUHF][]busyInterval
 }
 
-// activeTx is one in-flight transmission plus the pinned set of node ids
-// whose carrier sense it raised at launch. finish releases exactly this
-// set, so positions changing mid-flight can never strand a busy count.
-// The set is kept sorted by id; attach/retune/detach re-derive a node's
+// The per-slot AP masks hold one bit per UHF channel.
+var _ [32 - spectrum.NumUHF]struct{}
+
+// activeTx is one in-flight transmission plus the pinned set of node
+// slots whose carrier sense it raised at launch. finish releases exactly
+// this set, so positions changing mid-flight can never strand a busy
+// count. The set is kept in ascending id order, not slot order: finish
+// releases in set order and a release can schedule a DIFS, so the order
+// fixes event sequence numbers. attach/retune/detach re-derive a node's
 // membership (syncActive) against the transmission's launch geometry.
 type activeTx struct {
 	tx     *Transmission
@@ -265,7 +282,9 @@ type activeTx struct {
 
 type airNode struct {
 	id        int
+	slot      int32          // the id's slot in the medium's slot table
 	idx       int            // index in Air.nodes (ascending id)
+	cell      cellXY         // grid cell, while the grid exists
 	span      []spectrum.UHF // sensed UHF channels (tuned channel span)
 	senser    carrierSenser
 	deliver   func(phy.Frame, *Transmission)
@@ -293,10 +312,10 @@ func (a *Air) deliverCurrent(n *airNode) { a.deliverTo(n, a.deliverTx) }
 // set being built in a.launchSensed.
 func (a *Air) senseCurrent(n *airNode) {
 	tx := a.launchTx
-	if n.id == tx.Src || !a.hears(n, tx) {
+	if n.slot == tx.srcSlot || !a.hears(n, tx) {
 		return
 	}
-	a.launchSensed = append(a.launchSensed, int32(n.id))
+	a.launchSensed = append(a.launchSensed, n.slot)
 	n.sensedCnt++
 	if n.sensedCnt == 1 && n.senser != nil {
 		n.senser.mediumBusyChanged(true)
@@ -363,16 +382,30 @@ func (a *Air) freeTx(i int32) {
 	a.txFreeList = append(a.txFreeList, i)
 }
 
-// nodeIndex returns the position of id in the sorted node slice, or
-// the insertion point when absent.
-func (a *Air) nodeIndex(id int) int {
-	return sort.Search(len(a.nodes), func(i int) bool { return a.nodes[i].id >= id })
+// slotFor returns id's slot, giving the id the next slot the first
+// time the medium sees it.
+func (a *Air) slotFor(id int) int32 {
+	if s, ok := a.slotOf[id]; ok {
+		return s
+	}
+	if a.slotOf == nil {
+		a.slotOf = make(map[int]int32)
+	}
+	s := int32(len(a.slotID))
+	a.slotOf[id] = s
+	a.slotID = append(a.slotID, id)
+	a.slotPos = append(a.slotPos, Position{})
+	a.slotPlaced = append(a.slotPlaced, false)
+	a.slotNode = append(a.slotNode, nil)
+	a.slotExcl = append(a.slotExcl, false)
+	a.slotAPs = append(a.slotAPs, 0)
+	return s
 }
 
 // node returns the attached node with the given id, or nil.
 func (a *Air) node(id int) *airNode {
-	if i := a.nodeIndex(id); i < len(a.nodes) && a.nodes[i].id == id {
-		return a.nodes[i]
+	if s, ok := a.slotOf[id]; ok {
+		return a.slotNode[s]
 	}
 	return nil
 }
@@ -381,8 +414,7 @@ func (a *Air) node(id int) *airNode {
 // node, standalone scanner, and incumbent transmitter of a spatial
 // scenario; ids never placed default to the origin. Positions may change
 // at any time (the dynamics layer batch-updates them every mobility
-// epoch); each update bumps the position generation, invalidating the
-// medium's pair-loss cache wholesale.
+// epoch).
 //
 // Moves interact with in-flight transmissions under launch-time
 // semantics: a PPDU already on air keeps the source position it was
@@ -392,70 +424,33 @@ func (a *Air) node(id int) *airNode {
 // indication nor retroactively change who the frame was audible to.
 // Transmissions launched after the move use the new geometry.
 func (a *Air) SetPosition(id int, p Position) {
-	if a.pos == nil {
-		a.pos = map[int]Position{}
-	}
-	// A no-op move keeps the generation (and so the pair-loss cache):
-	// the epoch updater re-applies every trajectory each epoch, and
-	// paused or arrived nodes should not flush anything.
-	if a.pos[id] == p {
+	s := a.slotFor(id)
+	// A no-op move changes nothing: the epoch updater re-applies every
+	// trajectory each epoch, and an id placed at the origin it already
+	// stands on is not marked placed.
+	if a.slotPos[s] == p {
 		return
 	}
-	a.pos[id] = p
-	a.posGen++
+	a.slotPos[s] = p
+	a.slotPlaced[s] = true
 	if a.grid != nil {
-		if n := a.node(id); n != nil {
+		if n := a.slotNode[s]; n != nil {
 			a.grid.move(n, p)
 		}
 	}
 }
 
 // PositionOf returns id's position (the origin when never placed).
-func (a *Air) PositionOf(id int) Position { return a.pos[id] }
-
-// PosGen returns the position generation: it increments on every
-// SetPosition, so callers caching position-derived values (link budgets,
-// incumbent footprints, calibrated thresholds) can compare generations
-// instead of recomputing per query.
-func (a *Air) PosGen() uint64 { return a.posGen }
-
-func (a *Air) loss(src, dst int) float64 {
-	if a.Prop == nil {
-		return 0
-	}
-	return a.pairLoss(src, dst)
-}
-
-// pairLoss memoizes Prop.LossDB per id pair at the current position
-// generation. Propagation models are pure and symmetric, so the pair is
-// canonically ordered and a stale generation flushes the whole cache in
-// one step.
-func (a *Air) pairLoss(src, dst int) float64 {
-	lo, hi := src, dst
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if a.lossGen != a.posGen || a.lossCache == nil {
-		if a.lossCache == nil {
-			a.lossCache = make(map[uint64]float64)
-		} else {
-			clear(a.lossCache)
-		}
-		a.lossGen = a.posGen
-	}
-	key := uint64(uint32(lo))<<32 | uint64(uint32(hi))
-	if v, ok := a.lossCache[key]; ok {
-		return v
-	}
-	v := a.Prop.LossDB(a.pos[src], a.pos[dst])
-	a.lossCache[key] = v
-	return v
-}
+func (a *Air) PositionOf(id int) Position { return a.slotPos[a.slotFor(id)] }
 
 // RxPower returns the power (dBm) at which dst hears src, with both
 // endpoints at their current positions.
 func (a *Air) RxPower(src, dst int, txPowerDBm float64) float64 {
-	return txPowerDBm - a.loss(src, dst)
+	if a.Prop == nil {
+		return txPowerDBm
+	}
+	s, d := a.slotFor(src), a.slotFor(dst)
+	return txPowerDBm - a.Prop.LossDB(a.slotPos[s], a.slotPos[d])
 }
 
 // RxPowerOf returns the power (dBm) at which dst hears transmission tx,
@@ -466,33 +461,38 @@ func (a *Air) RxPowerOf(tx *Transmission, dst int) float64 {
 	if a.Prop == nil {
 		return tx.PowerDB
 	}
-	if a.pos[tx.Src] == tx.SrcPos {
-		return tx.PowerDB - a.pairLoss(tx.Src, dst)
+	return a.rxPowerOf(tx, a.slotFor(dst))
+}
+
+// rxPowerOf is RxPowerOf for the receiver in slot dst.
+func (a *Air) rxPowerOf(tx *Transmission, dst int32) float64 {
+	if a.Prop == nil {
+		return tx.PowerDB
 	}
-	return tx.PowerDB - a.Prop.LossDB(tx.SrcPos, a.pos[dst])
+	return tx.PowerDB - a.Prop.LossDB(tx.SrcPos, a.slotPos[dst])
 }
 
 // attach registers a node. deliver is called for each frame successfully
 // received on the node's tuned channel; senser (optional) receives busy
 // transitions.
 func (a *Air) attach(id int, ch spectrum.Channel, isAP bool, senser carrierSenser, deliver func(phy.Frame, *Transmission)) *airNode {
-	i := a.nodeIndex(id)
-	n := &airNode{id: id, idx: i, channel: ch, span: ch.Span(), senser: senser, deliver: deliver, isAP: isAP}
-	if i < len(a.nodes) && a.nodes[i].id == id {
-		old := a.nodes[i]
-		a.nodes[i] = n
+	s := a.slotFor(id)
+	n := &airNode{id: id, slot: s, channel: ch, span: ch.Span(), senser: senser, deliver: deliver, isAP: isAP}
+	if old := a.slotNode[s]; old != nil {
+		n.idx = old.idx
+		a.nodes[n.idx] = n
 		if a.grid != nil {
 			a.grid.replace(old, n)
 		}
 	} else {
-		a.nodes = append(a.nodes, nil)
-		copy(a.nodes[i+1:], a.nodes[i:])
-		a.nodes[i] = n
-		a.reindexFrom(i + 1)
+		n.idx = sort.Search(len(a.nodes), func(i int) bool { return a.nodes[i].id >= id })
+		a.nodes = slices.Insert(a.nodes, n.idx, n)
+		a.reindexFrom(n.idx + 1)
 		if a.grid != nil {
-			a.grid.insert(n, a.pos[id])
+			a.grid.insert(n, a.slotPos[s])
 		}
 	}
+	a.slotNode[s] = n
 	a.syncActive(n)
 	return n
 }
@@ -500,18 +500,22 @@ func (a *Air) attach(id int, ch spectrum.Channel, isAP bool, senser carrierSense
 // detach removes a node from the medium and from the pinned sensed set
 // of every in-flight transmission (its busy counts leave with it).
 func (a *Air) detach(id int) {
-	if i := a.nodeIndex(id); i < len(a.nodes) && a.nodes[i].id == id {
-		o := a.nodes[i]
-		a.nodes = append(a.nodes[:i], a.nodes[i+1:]...)
-		a.reindexFrom(i)
+	s, ok := a.slotOf[id]
+	if !ok {
+		return
+	}
+	if o := a.slotNode[s]; o != nil {
+		a.nodes = slices.Delete(a.nodes, o.idx, o.idx+1)
+		a.reindexFrom(o.idx)
+		a.slotNode[s] = nil
 		if a.grid != nil {
 			a.grid.remove(o)
 		}
 	}
 	for i := range a.active {
 		e := &a.active[i]
-		if j := idIndex(e.sensed, id); j >= 0 {
-			e.sensed = append(e.sensed[:j], e.sensed[j+1:]...)
+		if j, found := a.sensedIndex(e.sensed, s); found {
+			e.sensed = slices.Delete(e.sensed, j, j+1)
 		}
 	}
 }
@@ -557,38 +561,29 @@ func (a *Air) syncActive(n *airNode) {
 	cnt := 0
 	for i := range a.active {
 		e := &a.active[i]
-		if e.tx.Src == n.id {
+		if e.tx.srcSlot == n.slot {
 			continue
 		}
-		j := idIndex(e.sensed, n.id)
+		j, found := a.sensedIndex(e.sensed, n.slot)
 		if a.hears(n, e.tx) {
 			cnt++
-			if j < 0 {
-				e.sensed = insertID(e.sensed, n.id)
+			if !found {
+				e.sensed = slices.Insert(e.sensed, j, n.slot)
 			}
-		} else if j >= 0 {
-			e.sensed = append(e.sensed[:j], e.sensed[j+1:]...)
+		} else if found {
+			e.sensed = slices.Delete(e.sensed, j, j+1)
 		}
 	}
 	n.sensedCnt = cnt
 }
 
-// idIndex returns the position of id in the sorted set s, or -1.
-func idIndex(s []int32, id int) int {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= int32(id) })
-	if i < len(s) && s[i] == int32(id) {
-		return i
-	}
-	return -1
-}
-
-// insertID adds id to the sorted set s.
-func insertID(s []int32, id int) []int32 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= int32(id) })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = int32(id)
-	return s
+// sensedIndex returns where slot s sits in the pinned sensed set, which
+// is kept in ascending id order, or where it would be inserted, and
+// whether it is there.
+func (a *Air) sensedIndex(set []int32, s int32) (int, bool) {
+	id := a.slotID[s]
+	i := sort.Search(len(set), func(i int) bool { return a.slotID[set[i]] >= id })
+	return i, i < len(set) && set[i] == s
 }
 
 // hears reports whether node n senses transmission tx: spans overlap and
@@ -598,17 +593,20 @@ func (a *Air) hears(n *airNode, tx *Transmission) bool {
 	if !n.channel.Overlaps(tx.Channel) {
 		return false
 	}
-	return a.RxPowerOf(tx, n.id) >= DefaultCSThresholdDBm
+	return a.rxPowerOf(tx, n.slot) >= DefaultCSThresholdDBm
 }
 
 // SensedBusy reports whether node id currently senses any carrier on any
 // UHF channel of its tuned span (the multi-channel carrier sense rule).
 func (a *Air) SensedBusy(id int) bool {
 	n := a.node(id)
-	if n == nil {
-		return false
-	}
-	return n.sensedCnt > 0
+	return n != nil && n.sensedCnt > 0
+}
+
+// sensedBusyAt is SensedBusy for the id in slot s.
+func (a *Air) sensedBusyAt(s int32) bool {
+	n := a.slotNode[s]
+	return n != nil && n.sensedCnt > 0
 }
 
 // Transmit puts a frame on the air from node id over channel ch for the
@@ -622,6 +620,7 @@ func (a *Air) Transmit(id int, ch spectrum.Channel, f phy.Frame, powerDBm float6
 	now := a.Eng.Now()
 	a.nextUID++
 	a.Counters.Launches++
+	src := a.slotFor(id)
 	slot, tx := a.allocTx()
 	*tx = Transmission{
 		Src:     id,
@@ -632,18 +631,19 @@ func (a *Air) Transmit(id int, ch spectrum.Channel, f phy.Frame, powerDBm float6
 		PowerDB: powerDBm,
 		NoCS:    noCS,
 		UID:     a.nextUID,
-		SrcPos:  a.pos[id],
+		SrcPos:  a.slotPos[src],
+		srcSlot: src,
 	}
 	a.record(tx)
 	entry := activeTx{tx: tx, sensed: a.grabSensed()}
-	if n := a.node(id); n != nil {
+	if n := a.slotNode[src]; n != nil {
 		n.txUntil = tx.End
 	}
 	// Raise busy at every node that hears this transmission, pinning the
 	// raised set. Only nodes within the model's carrier-sense range of
 	// the launch position can hear (hears needs rx at or above the CS
 	// threshold), so the walk is culled to the interference neighborhood;
-	// visits stay in ascending id order, so the pinned set stays sorted.
+	// visits stay in ascending id order, so the pinned set is in id order.
 	a.launchTx = tx
 	a.launchSensed = entry.sensed
 	a.eachNodeOverlappingWithin(tx.SrcPos, a.cullRange(powerDBm, DefaultCSThresholdDBm), ch, a.senseFn)
@@ -674,8 +674,8 @@ func (a *Air) finish(word uint64) {
 			break
 		}
 	}
-	for _, id := range sensed {
-		n := a.node(int(id))
+	for _, s := range sensed {
+		n := a.slotNode[s]
 		if n == nil {
 			continue
 		}
@@ -688,7 +688,7 @@ func (a *Air) finish(word uint64) {
 	// Delivery: only receivers tuned to exactly the transmission's
 	// channel (same center frequency and width) can decode, per the
 	// variable-width decoding limitation. A unicast frame has exactly
-	// one candidate receiver — look it up directly instead of walking
+	// one candidate receiver — look its slot up directly instead of walking
 	// the node set; broadcasts walk the decode neighborhood (cleanAt
 	// rejects anything below the decode floor, so nodes beyond that
 	// radius can be skipped without changing any outcome).
@@ -706,7 +706,7 @@ func (a *Air) finish(word uint64) {
 
 // deliverTo resolves one candidate delivery of tx at node n.
 func (a *Air) deliverTo(n *airNode, tx *Transmission) {
-	if n.id == tx.Src || n.deliver == nil {
+	if n.slot == tx.srcSlot || n.deliver == nil {
 		return
 	}
 	if n.channel != tx.Channel {
@@ -728,7 +728,7 @@ func (a *Air) deliverTo(n *airNode, tx *Transmission) {
 // no other audible transmission overlapping tx in time on any UHF
 // channel of the receiver's span.
 func (a *Air) cleanAt(n *airNode, tx *Transmission) bool {
-	rx := a.RxPowerOf(tx, n.id)
+	rx := a.rxPowerOf(tx, n.slot)
 	if rx-NoiseFloorDBm < decodeSNRdB {
 		a.Counters.BelowFloor++
 		return false
@@ -811,13 +811,13 @@ func dist2(p, q Position) float64 {
 // columns — this is the per-delivery inner loop the struct-of-arrays
 // layout exists for.
 func (a *Air) interferedIn(idx []int32, n *airNode, tx *Transmission) bool {
-	rxPos := a.pos[n.id]
+	rxPos := a.slotPos[n.slot]
 	for i := a.searchStartIdx(idx, tx.Start-a.maxDur); i < len(idx); i++ {
 		j := idx[i]
 		if a.logStart[j] >= tx.End {
 			break
 		}
-		if a.logUID[j] == tx.UID || int(a.logSrc[j]) == n.id {
+		if a.logUID[j] == tx.UID || a.logSrc[j] == n.slot {
 			continue
 		}
 		if a.logStart[j] >= tx.End || a.logEnd[j] <= tx.Start {
@@ -831,7 +831,7 @@ func (a *Air) interferedIn(idx []int32, n *airNode, tx *Transmission) bool {
 		if a.beyondRange(&a.noiseRange, a.logPower[j], NoiseFloorDBm, dist2(a.logSrcPos[j], rxPos)) {
 			continue
 		}
-		if a.rxPowerAt(j, n.id) >= NoiseFloorDBm {
+		if a.rxPowerAt(j, n.slot) >= NoiseFloorDBm {
 			return true
 		}
 	}
@@ -887,7 +887,7 @@ func (a *Air) record(tx *Transmission) {
 	a.logCh = append(a.logCh, tx.Channel)
 	a.logPower = append(a.logPower, tx.PowerDB)
 	a.logSrcPos = append(a.logSrcPos, tx.SrcPos)
-	a.logSrc = append(a.logSrc, int32(tx.Src))
+	a.logSrc = append(a.logSrc, tx.srcSlot)
 	a.logUID = append(a.logUID, tx.UID)
 	a.logNoCS = append(a.logNoCS, tx.NoCS)
 	a.logFrame = append(a.logFrame, tx.Frame)
@@ -916,7 +916,8 @@ func (a *Air) record(tx *Transmission) {
 
 // materialize assembles the logged transmission at index i into out.
 func (a *Air) materialize(i int32, out *Transmission) {
-	out.Src = int(a.logSrc[i])
+	out.Src = a.slotID[a.logSrc[i]]
+	out.srcSlot = a.logSrc[i]
 	out.Channel = a.logCh[i]
 	out.Frame = a.logFrame[i]
 	out.Start = a.logStart[i]
@@ -927,17 +928,13 @@ func (a *Air) materialize(i int32, out *Transmission) {
 	out.SrcPos = a.logSrcPos[i]
 }
 
-// rxPowerAt returns the power (dBm) at which dst hears the logged
-// transmission at index i — RxPowerOf over the log columns.
-func (a *Air) rxPowerAt(i int32, dst int) float64 {
-	src := int(a.logSrc[i])
+// rxPowerAt returns the power (dBm) at which the id in slot dst hears
+// the logged transmission at index i — RxPowerOf over the log columns.
+func (a *Air) rxPowerAt(i int32, dst int32) float64 {
 	if a.Prop == nil {
 		return a.logPower[i]
 	}
-	if a.pos[src] == a.logSrcPos[i] {
-		return a.logPower[i] - a.pairLoss(src, dst)
-	}
-	return a.logPower[i] - a.Prop.LossDB(a.logSrcPos[i], a.pos[dst])
+	return a.logPower[i] - a.Prop.LossDB(a.logSrcPos[i], a.slotPos[dst])
 }
 
 // minPruneWatermark keeps automatic pruning from running on tiny logs.
@@ -1122,17 +1119,78 @@ func (a *Air) collectContaining(u spectrum.UHF, from, to time.Duration) []int32 
 // global ground truth the QualNet-style experiments validate against).
 const IdealObserver = -1
 
-// audibleAt reports whether observer receives the logged transmission
-// at index i above the carrier-sense threshold; the ideal observer
-// hears everything.
-func (a *Air) audibleAt(observer int, i int32) bool {
+// observerSlot returns observer's slot, or -1 for IdealObserver.
+func (a *Air) observerSlot(observer int) int32 {
 	if observer == IdealObserver {
-		return true
+		return -1
 	}
-	if a.beyondRange(&a.csRange, a.logPower[i], DefaultCSThresholdDBm, dist2(a.logSrcPos[i], a.pos[observer])) {
+	return a.slotFor(observer)
+}
+
+// markExcluded marks the slots of the ids exclude maps to true, once per
+// query, so the log walk tests a slice instead of hashing every row's
+// source. An id without a slot is the source of no logged transmission
+// and needs no mark. unmarkExcluded clears the marks.
+func (a *Air) markExcluded(exclude map[int]bool) {
+	for id, ex := range exclude {
+		if s, ok := a.slotOf[id]; ok && ex {
+			a.slotExcl[s] = true
+			a.exclMarked = append(a.exclMarked, s)
+		}
+	}
+}
+
+func (a *Air) unmarkExcluded() {
+	for _, s := range a.exclMarked {
+		a.slotExcl[s] = false
+	}
+	a.exclMarked = a.exclMarked[:0]
+}
+
+// markAP sets bit in slot s's AP mask and reports whether it was clear:
+// whether this is the first time the query counts s under that bit.
+// unmarkAPs clears every mask the query set.
+func (a *Air) markAP(s int32, bit uint32) bool {
+	m := a.slotAPs[s]
+	if m&bit != 0 {
 		return false
 	}
-	return a.rxPowerAt(i, observer) >= DefaultCSThresholdDBm
+	if m == 0 {
+		a.apMarked = append(a.apMarked, s)
+	}
+	a.slotAPs[s] = m | bit
+	return true
+}
+
+func (a *Air) unmarkAPs() {
+	for _, s := range a.apMarked {
+		a.slotAPs[s] = 0
+	}
+	a.apMarked = a.apMarked[:0]
+}
+
+// countsAsAP reports whether the logged transmission at index i counts
+// toward an active-AP tally: its source is an attached AP or, for a
+// source that has since detached, the frame looks like AP traffic (a
+// beacon).
+func (a *Air) countsAsAP(i int32) bool {
+	if n := a.slotNode[a.logSrc[i]]; n != nil {
+		return n.isAP
+	}
+	return a.logFrame[i].Kind == phy.KindBeacon
+}
+
+// audibleAt reports whether the observer in slot obs receives the
+// logged transmission at index i above the carrier-sense threshold; the
+// ideal observer (obs -1) hears everything.
+func (a *Air) audibleAt(obs int32, i int32) bool {
+	if obs < 0 {
+		return true
+	}
+	if a.beyondRange(&a.csRange, a.logPower[i], DefaultCSThresholdDBm, dist2(a.logSrcPos[i], a.slotPos[obs])) {
+		return false
+	}
+	return a.rxPowerAt(i, obs) >= DefaultCSThresholdDBm
 }
 
 // BusyFractionAt returns the fraction of [from, to) during which UHF
@@ -1152,23 +1210,33 @@ func (a *Air) BusyFractionAt(observer int, u spectrum.UHF, from, to time.Duratio
 	if to <= from {
 		return 0
 	}
+	obs := a.observerSlot(observer)
+	a.markExcluded(exclude)
 	ivs := a.scratchIvs[:0]
 	// collectContaining returns indices in start order, so the intervals
 	// arrive already sorted and the union is a single sweep.
 	for _, i := range a.collectContaining(u, from, to) {
-		if exclude[int(a.logSrc[i])] || !a.audibleAt(observer, i) {
+		if a.slotExcl[a.logSrc[i]] || !a.audibleAt(obs, i) {
 			continue
 		}
-		s, e := a.logStart[i], a.logEnd[i]
-		if s < from {
-			s = from
-		}
-		if e > to {
-			e = to
-		}
-		ivs = append(ivs, busyInterval{s, e})
+		ivs = append(ivs, clipInterval(a.logStart[i], a.logEnd[i], from, to))
 	}
+	a.unmarkExcluded()
 	a.scratchIvs = ivs[:0]
+	return unionFraction(ivs, from, to)
+}
+
+// busyInterval is one clipped on-air span inside a query window.
+type busyInterval struct{ s, e time.Duration }
+
+// clipInterval clips the on-air span [s, e) to the window [from, to).
+func clipInterval(s, e, from, to time.Duration) busyInterval {
+	return busyInterval{max(s, from), min(e, to)}
+}
+
+// unionFraction returns the fraction of [from, to) covered by the union
+// of ivs, which arrive sorted by start.
+func unionFraction(ivs []busyInterval, from, to time.Duration) float64 {
 	var busy, end time.Duration
 	end = -1
 	for _, v := range ivs {
@@ -1183,9 +1251,6 @@ func (a *Air) BusyFractionAt(observer int, u spectrum.UHF, from, to time.Duratio
 	return float64(busy) / float64(to-from)
 }
 
-// busyInterval is one clipped on-air span inside a query window.
-type busyInterval struct{ s, e time.Duration }
-
 // ObservationAt computes the full per-UHF-channel observation — busy
 // airtime fraction and active-AP count, as heard at node observer, with
 // the given source nodes excluded — in a single sweep of the indexed
@@ -1199,18 +1264,19 @@ func (a *Air) ObservationAt(observer int, from, to time.Duration, exclude map[in
 	if to <= from {
 		return
 	}
+	obs := a.observerSlot(observer)
+	a.markExcluded(exclude)
 	for u := range a.obsIvs {
 		a.obsIvs[u] = a.obsIvs[u][:0]
-		if a.obsSeen[u] != nil {
-			clear(a.obsSeen[u])
-		}
 	}
 	// One cache-linear walk of the column log over the window: every
 	// entry is in exactly one partition, so the full-log walk visits the
 	// same set the per-partition walks did — but in global start order,
 	// so each channel's intervals arrive pre-sorted and the union sweep
 	// needs no per-channel sort (the union is order-independent, so the
-	// result matches the per-channel query exactly).
+	// result matches the per-channel query exactly). A source counts once
+	// per channel: its slot's AP mask records the channels it was
+	// counted on.
 	n := a.logLen()
 	for i := a.searchStart(from - a.maxDur); i < n; i++ {
 		if a.logStart[i] >= to {
@@ -1219,53 +1285,24 @@ func (a *Air) ObservationAt(observer int, from, to time.Duration, exclude map[in
 		if a.logEnd[i] <= from {
 			continue
 		}
-		src := int(a.logSrc[i])
-		if exclude[src] || !a.audibleAt(observer, int32(i)) {
+		src := a.logSrc[i]
+		if a.slotExcl[src] || !a.audibleAt(obs, int32(i)) {
 			continue
 		}
-		s, e := a.logStart[i], a.logEnd[i]
-		if s < from {
-			s = from
-		}
-		if e > to {
-			e = to
-		}
-		countAP := false
-		if nd := a.node(src); nd != nil {
-			countAP = nd.isAP
-		} else {
-			// Transmissions from nodes that have since detached still
-			// count if they look like AP traffic (beacons).
-			countAP = a.logFrame[i].Kind == phy.KindBeacon
-		}
+		iv := clipInterval(a.logStart[i], a.logEnd[i], from, to)
+		countAP := a.countsAsAP(int32(i))
 		lo, hi := a.logCh[i].Bounds()
-		for u := lo; u <= hi; u++ {
-			if !u.Valid() {
-				continue
-			}
-			a.obsIvs[u] = append(a.obsIvs[u], busyInterval{s, e})
-			if countAP {
-				if a.obsSeen[u] == nil {
-					a.obsSeen[u] = map[int]bool{}
-				}
-				a.obsSeen[u][src] = true
+		for u := max(lo, 0); u <= min(hi, spectrum.NumUHF-1); u++ {
+			a.obsIvs[u] = append(a.obsIvs[u], iv)
+			if countAP && a.markAP(src, 1<<u) {
+				aps[u]++
 			}
 		}
 	}
+	a.unmarkExcluded()
+	a.unmarkAPs()
 	for u := range a.obsIvs {
-		var busy, end time.Duration
-		end = -1
-		for _, v := range a.obsIvs[u] {
-			if v.s > end {
-				busy += v.e - v.s
-				end = v.e
-			} else if v.e > end {
-				busy += v.e - end
-				end = v.e
-			}
-		}
-		airtime[u] = float64(busy) / float64(to-from)
-		aps[u] = len(a.obsSeen[u])
+		airtime[u] = unionFraction(a.obsIvs[u], from, to)
 	}
 	return airtime, aps
 }
@@ -1278,27 +1315,19 @@ func (a *Air) ObservationAt(observer int, from, to time.Duration, exclude map[in
 // the node's SIFT scanner. With IdealObserver it is the ground-truth
 // B_c of Section 4.1.
 func (a *Air) ActiveAPsAt(observer int, u spectrum.UHF, from, to time.Duration, exclude map[int]bool) int {
-	if a.apsSeen == nil {
-		a.apsSeen = map[int]bool{}
-	} else {
-		clear(a.apsSeen)
-	}
+	obs := a.observerSlot(observer)
+	a.markExcluded(exclude)
+	count := 0
 	for _, i := range a.collectContaining(u, from, to) {
-		src := int(a.logSrc[i])
-		if exclude[src] || !a.audibleAt(observer, i) {
+		src := a.logSrc[i]
+		if a.slotExcl[src] || !a.audibleAt(obs, i) {
 			continue
 		}
-		if n := a.node(src); n != nil {
-			if n.isAP {
-				a.apsSeen[src] = true
-			}
-			continue
-		}
-		// Transmissions from nodes that have since detached still
-		// count if they look like AP traffic (beacons).
-		if a.logFrame[i].Kind == phy.KindBeacon {
-			a.apsSeen[src] = true
+		if a.countsAsAP(i) && a.markAP(src, 1) {
+			count++
 		}
 	}
-	return len(a.apsSeen)
+	a.unmarkExcluded()
+	a.unmarkAPs()
+	return count
 }

@@ -62,6 +62,13 @@ type worldConfig struct {
 	// probe, when non-nil, is handed the production medium before any
 	// node attaches (tests schedule inspections on its engine).
 	probe func(a *Air)
+	// strangers reaches the ids the medium first sees outside the usual
+	// place-then-attach order: half the nodes attach before their first
+	// SetPosition, two ids that never attach or get placed broadcast, a
+	// quarter of unicasts go to ids the medium has never seen, and three
+	// fresh ids are placed at the origin, where they already stand, and
+	// attach there. The grid exists before anything attaches.
+	strangers bool
 }
 
 // worldModels are the propagation models the randomized worlds run
@@ -111,7 +118,7 @@ func worldEvents(prop Propagation, seed int64, cfg worldConfig) ([]string, AirCo
 		air.Prop = prop
 		air.GridCellM = cfg.cellM
 		air.DropFilter = drop
-		if cfg.churn || cfg.attachSeed != 0 {
+		if cfg.churn || cfg.attachSeed != 0 || cfg.strangers {
 			// Build the grid while the medium is empty, so every attach
 			// below inserts into a live index and shifts node indices.
 			air.NodesNear(Position{}, 1)
@@ -147,12 +154,20 @@ func worldEvents(prop Propagation, seed int64, cfg worldConfig) ([]string, AirCo
 		// late nodes (churn) attach mid-run, at time at.
 		late bool
 		at   time.Duration
+		// unplaced nodes (strangers) attach first and move to pos after.
+		unplaced bool
+		pos      Position
 	}
 	nodes := make([]worldNode, nNodes)
 	for i, id := range ids {
 		rec := &recorder{id: id, eng: eng, air: m, log: &log}
-		m.SetPosition(id, Position{X: rng.Float64() * areaM, Y: rng.Float64() * areaM})
-		nodes[i] = worldNode{rec: rec, ch: channels[rng.Intn(len(channels))], isAP: i%3 == 0}
+		p := Position{X: rng.Float64() * areaM, Y: rng.Float64() * areaM}
+		if cfg.strangers && i%2 == 1 {
+			nodes[i].unplaced, nodes[i].pos = true, p
+		} else {
+			m.SetPosition(id, p)
+		}
+		nodes[i].rec, nodes[i].ch, nodes[i].isAP = rec, channels[rng.Intn(len(channels))], i%3 == 0
 		if cfg.churn && i >= nNodes/2 {
 			nodes[i].late, nodes[i].at = true, time.Duration(rng.Int63n(int64(horizon)))
 		}
@@ -172,6 +187,23 @@ func worldEvents(prop Propagation, seed int64, cfg worldConfig) ([]string, AirCo
 	for _, nd := range nodes {
 		if nd.late {
 			eng.Schedule(nd.at, func() { m.attachNode(nd.rec.id, nd.ch, nd.isAP, nd.rec, nd.rec.deliver) })
+		}
+		if nd.unplaced {
+			m.SetPosition(nd.rec.id, nd.pos)
+		}
+	}
+	if cfg.strangers {
+		for id := 2001; id <= 2003; id++ {
+			rec := &recorder{id: id, eng: eng, air: m, log: &log}
+			m.SetPosition(id, Position{})
+			m.attachNode(id, channels[rng.Intn(len(channels))], id == 2001, rec, rec.deliver)
+		}
+		for i := 0; i < 40; i++ {
+			src := 3001 + rng.Intn(2)
+			ch := channels[rng.Intn(len(channels))]
+			f := phy.DataFrame(src, phy.Broadcast, 100+rng.Intn(1200))
+			at := time.Duration(rng.Int63n(int64(horizon)))
+			eng.Schedule(at, func() { m.Transmit(src, ch, f, DefaultTxPowerDBm, false) })
 		}
 	}
 	if cfg.churn {
@@ -194,6 +226,9 @@ func worldEvents(prop Propagation, seed int64, cfg worldConfig) ([]string, AirCo
 		dst := phy.Broadcast
 		if rng.Intn(2) == 0 {
 			dst = ids[rng.Intn(len(ids))]
+			if cfg.strangers && rng.Intn(4) == 0 {
+				dst = 4001 + rng.Intn(50) // an id nothing ever uses
+			}
 		}
 		f := phy.DataFrame(src, dst, 100+rng.Intn(1200))
 		at := time.Duration(rng.Int63n(int64(horizon)))
@@ -219,24 +254,36 @@ func worldEvents(prop Propagation, seed int64, cfg worldConfig) ([]string, AirCo
 // TestCulledMediumEventIdentical is the medium's safety property: on
 // random spatial worlds — every propagation model, random channels,
 // broadcasts and unicasts, re-entrant replies, nodes moving and
-// retuning mid-flight, and (churn) nodes attaching, detaching and
-// re-attaching under a live grid — the production Air, culled and
-// pooled, produces exactly the same ordered sequence of busy
+// retuning mid-flight, (churn) nodes attaching, detaching and
+// re-attaching under a live grid, and (strangers) ids first seen by an
+// attach, a launch or a placement at the origin — the production Air,
+// culled and pooled, produces exactly the same ordered sequence of busy
 // transitions and deliveries as refAir, which walks every node and
 // scans the whole history. MaxRangeFor is an upper bound, so culling
-// may only skip work, never change an outcome; the arena and the log
-// index are storage, never visible. Every outcome counter except
-// BelowFloor must match too (see AirCounters).
+// may only skip work, never change an outcome; the arena, the log index
+// and the slot table are storage, never visible. Every outcome counter
+// except BelowFloor must match too (see AirCounters).
 func TestCulledMediumEventIdentical(t *testing.T) {
 	var total AirCounters
+	variants := []struct {
+		name string
+		cfg  worldConfig
+	}{
+		{"default", worldConfig{}},
+		{"churn", worldConfig{churn: true}},
+		{"strangers", worldConfig{strangers: true}},
+	}
 	for _, m := range worldModels {
 		for seed := int64(1); seed <= 4; seed++ {
-			for _, churn := range []bool{false, true} {
+			for _, v := range variants {
 				// Seed 4 runs with a drop filter, so the filter is
 				// consulted in the same order by both media.
-				cfg := worldConfig{churn: churn, dropFilter: seed == 4}
-				name := fmt.Sprintf("%s/seed%d/churn%v", m.name, seed, churn)
-				want, wantN := worldEvents(m.prop, seed, worldConfig{reference: true, churn: churn, dropFilter: cfg.dropFilter})
+				cfg := v.cfg
+				cfg.dropFilter = seed == 4
+				name := fmt.Sprintf("%s/seed%d/%s", m.name, seed, v.name)
+				ref := cfg
+				ref.reference = true
+				want, wantN := worldEvents(m.prop, seed, ref)
 				if cfg.dropFilter && wantN.FilterDrops == 0 {
 					t.Fatalf("%s: drop filter never vetoed a delivery", name)
 				}

@@ -372,7 +372,7 @@ func (n *Node) beginAccess() {
 // startDIFS waits for the medium to be continuously idle for DIFS before
 // the backoff countdown runs.
 func (n *Node) startDIFS() {
-	if n.air.SensedBusy(n.ID) {
+	if n.air.sensedBusyAt(n.an.slot) {
 		n.state = stDeferring
 		return
 	}

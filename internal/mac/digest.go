@@ -1,7 +1,8 @@
 package mac
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"whitefi/internal/checkpoint"
 	"whitefi/internal/phy"
@@ -21,14 +22,9 @@ func (a *Air) DigestState(d *checkpoint.Digest) {
 		Int("half", c.HalfDuplex).Int("coll", c.Collisions).Int("filter", c.FilterDrops).
 		Uint("nextuid", a.nextUID).Int("log", int64(len(a.logStart))).
 		Pair("arena", int64(a.ArenaLive()), int64(a.ArenaCap())).End()
-	ids := make([]int, 0, len(a.pos))
-	for id := range a.pos {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		p := a.pos[id]
-		d.Row("pos").Int("id", int64(id)).Float("x", p.X).Float("y", p.Y).End()
+	for _, s := range a.placedSlots() {
+		p := a.slotPos[s]
+		d.Row("pos").Int("id", int64(a.slotID[s])).Float("x", p.X).Float("y", p.Y).End()
 	}
 	for _, n := range a.nodes {
 		d.Row("node").Int("id", int64(n.id)).Pair("ch", int64(n.channel.Center), int64(n.channel.Width)).
@@ -44,12 +40,25 @@ func (a *Air) DigestState(d *checkpoint.Digest) {
 	}
 	for i := range a.logStart {
 		ch, p, f := a.logCh[i], a.logSrcPos[i], &a.logFrame[i]
-		d.Row("tx").Uint("uid", a.logUID[i]).Int("src", int64(a.logSrc[i])).
+		d.Row("tx").Uint("uid", a.logUID[i]).Int("src", int64(int32(a.slotID[a.logSrc[i]]))).
 			Pair("ch", int64(ch.Center), int64(ch.Width)).
 			Int("start", int64(a.logStart[i])).Int("end", int64(a.logEnd[i])).
 			Float("pwr", a.logPower[i]).Bool("nocs", a.logNoCS[i]).Float("x", p.X).Float("y", p.Y).
 			Int("kind", int64(f.Kind)).Int("dst", int64(f.Dst)).Int("bytes", int64(f.Bytes)).Uint("seq", f.Seq).End()
 	}
+}
+
+// placedSlots returns, in ascending id order, the slots of the ids
+// SetPosition has placed: the ids the digest's pos rows list.
+func (a *Air) placedSlots() []int32 {
+	placed := make([]int32, 0, len(a.slotPlaced))
+	for s, ok := range a.slotPlaced {
+		if ok {
+			placed = append(placed, int32(s))
+		}
+	}
+	slices.SortFunc(placed, func(x, y int32) int { return cmp.Compare(a.slotID[x], a.slotID[y]) })
+	return placed
 }
 
 // NodeCount reports the number of attached nodes — the item count of

@@ -6,7 +6,9 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,19 +19,23 @@ import (
 )
 
 // refAirDigest is the fmt rendering that Air.DigestState replaced, kept
-// verbatim as the reference its bytes must equal.
+// as the reference its bytes must equal. It reads positions and log
+// sources through the slot table: the placed ids in ascending order,
+// and each row's source id as the int32 the log column once held.
 func refAirDigest(a *Air, w io.Writer) {
 	c := a.Counters
 	fmt.Fprintf(w, "air launches=%d delivered=%d below=%d half=%d coll=%d filter=%d nextuid=%d log=%d arena=%d/%d\n",
 		c.Launches, c.Delivered, c.BelowFloor, c.HalfDuplex, c.Collisions, c.FilterDrops,
 		a.nextUID, len(a.logStart), a.ArenaLive(), a.ArenaCap())
-	ids := make([]int, 0, len(a.pos))
-	for id := range a.pos {
-		ids = append(ids, id)
+	var ids []int
+	for s, id := range a.slotID {
+		if a.slotPlaced[s] {
+			ids = append(ids, id)
+		}
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		p := a.pos[id]
+		p := a.slotPos[a.slotOf[id]]
 		fmt.Fprintf(w, "pos id=%d x=%v y=%v\n", id, p.X, p.Y)
 	}
 	for _, n := range a.nodes {
@@ -45,7 +51,7 @@ func refAirDigest(a *Air, w io.Writer) {
 	for i := range a.logStart {
 		f := a.logFrame[i]
 		fmt.Fprintf(w, "tx uid=%d src=%d ch=%d/%d start=%d end=%d pwr=%v nocs=%t x=%v y=%v kind=%d dst=%d bytes=%d seq=%d\n",
-			a.logUID[i], a.logSrc[i], a.logCh[i].Center, a.logCh[i].Width,
+			a.logUID[i], int32(a.slotID[a.logSrc[i]]), a.logCh[i].Center, a.logCh[i].Width,
 			int64(a.logStart[i]), int64(a.logEnd[i]), a.logPower[i], a.logNoCS[i],
 			a.logSrcPos[i].X, a.logSrcPos[i].Y, f.Kind, f.Dst, f.Bytes, f.Seq)
 	}
@@ -154,7 +160,7 @@ func appendLogRow(a *Air, tx *Transmission) {
 	a.logCh = append(a.logCh, tx.Channel)
 	a.logPower = append(a.logPower, tx.PowerDB)
 	a.logSrcPos = append(a.logSrcPos, tx.SrcPos)
-	a.logSrc = append(a.logSrc, int32(tx.Src))
+	a.logSrc = append(a.logSrc, a.slotFor(tx.Src))
 	a.logUID = append(a.logUID, tx.UID)
 	a.logNoCS = append(a.logNoCS, tx.NoCS)
 	a.logFrame = append(a.logFrame, tx.Frame)
@@ -173,9 +179,10 @@ func randomAir(r *rand.Rand) *Air {
 	a := NewAir(sim.New(1))
 	a.Counters = AirCounters{digestInt(r), digestInt(r), digestInt(r), digestInt(r), digestInt(r), digestInt(r)}
 	a.nextUID = digestUint(r)
-	a.pos = map[int]Position{}
 	for k := r.Intn(6); k > 0; k-- {
-		a.pos[int(digestInt(r))] = Position{digestFloat(r), digestFloat(r)}
+		s := a.slotFor(int(digestInt(r)))
+		a.slotPos[s] = Position{digestFloat(r), digestFloat(r)}
+		a.slotPlaced[s] = true
 	}
 	for k := r.Intn(5); k > 0; k-- {
 		a.nodes = append(a.nodes, &airNode{id: int(digestInt(r)), span: digestSpans[r.Intn(len(digestSpans))],
@@ -261,6 +268,35 @@ func TestAirDigestWorldMatchesFmt(t *testing.T) {
 				t.Fatalf("%s: compared %d instants holding %d log rows", name, checked, rows)
 			}
 		}
+	}
+}
+
+// TestAirDigestPosRows pins which ids the medium's pos digest rows
+// list: the ids SetPosition has moved at least once, wherever they
+// stand now. An id first placed where it already stands (a fresh id at
+// the origin), an attached id never placed, a transmitter never seen
+// before it launched and a never-seen RxPowerOf destination are not
+// listed; an id moved back to the origin is.
+func TestAirDigestPosRows(t *testing.T) {
+	eng := sim.New(1)
+	a := NewAir(eng)
+	a.Prop = LogDistance{}
+	a.SetPosition(7, Position{X: 120, Y: -35.5})
+	a.SetPosition(3, Position{X: 40, Y: 10})
+	a.SetPosition(3, Position{})
+	a.SetPosition(9, Position{})
+	NewNode(eng, a, 5, spectrum.Chan(4, spectrum.W5), true)
+	tx := a.Transmit(11, spectrum.Chan(4, spectrum.W5), phy.DataFrame(11, phy.Broadcast, 300), DefaultTxPowerDBm, true)
+	a.RxPowerOf(tx, 13)
+	var rows []string
+	for _, line := range strings.Split(string(digestText(a.DigestState)), "\n") {
+		if strings.HasPrefix(line, "pos ") {
+			rows = append(rows, line)
+		}
+	}
+	want := []string{"pos id=3 x=0 y=0", "pos id=7 x=120 y=-35.5"}
+	if !slices.Equal(rows, want) {
+		t.Fatalf("pos rows = %q, want %q", rows, want)
 	}
 }
 

@@ -45,67 +45,77 @@ import (
 // an infinite range; the grid is then never built and the fan-outs walk
 // every attached node.
 
-// gridKey addresses one (cell, UHF channel) bucket of the index.
-type gridKey struct {
-	x, y int32
-	u    spectrum.UHF
-}
+// cellXY addresses one cell of the index.
+type cellXY struct{ x, y int32 }
 
-// nodeGrid buckets attached nodes by position cell and tuned span.
-// Buckets hold the live *airNode (attach refreshes the pointer on a
-// same-id re-attach) in arbitrary order — queries order them by index.
-// A node appears in one bucket per UHF channel of its span.
+// key packs the cell coordinates into the index's map key.
+func (c cellXY) key() uint64 { return uint64(uint32(c.x))<<32 | uint64(uint32(c.y)) }
+
+// gridCell is one occupied cell: a bucket per UHF channel. Buckets hold
+// the live *airNode (attach refreshes the pointer on a same-id
+// re-attach) in arbitrary order — queries order them by index. A node
+// appears in the bucket of every in-band UHF channel of its span. Span
+// channels outside the band are not bucketed: a channel centered in the
+// band spans at least one in-band channel of any other in-band-centered
+// channel it overlaps, so no candidate set loses a node.
+type gridCell [spectrum.NumUHF][]*airNode
+
+// nodeGrid buckets attached nodes by position cell and tuned span. Each
+// attached node records the cell it is bucketed in (airNode.cell).
 type nodeGrid struct {
 	cell  float64 // cell edge length in meters
-	cells map[gridKey][]*airNode
-	// where records each attached node's current cell coordinates; the
-	// node's span supplies the u part of its bucket keys.
-	where map[int]gridKey
+	cells map[uint64]*gridCell
 	// lo and hi are the corners of a grow-only bounding box of every
-	// cell a node has been bucketed in (u unused). Cells outside it have
-	// always been empty, so queries clamp their rectangle to it. Empty
+	// cell a node has been bucketed in. Cells outside it have always
+	// been empty, so queries clamp their rectangle to it. Empty
 	// (lo > hi) until the first insert.
-	lo, hi gridKey
+	lo, hi cellXY
 }
 
-// cellOf maps a position to its cell coordinates (u left zero).
-func (g *nodeGrid) cellOf(p Position) gridKey {
-	return gridKey{x: int32(math.Floor(p.X / g.cell)), y: int32(math.Floor(p.Y / g.cell))}
+// cellOf maps a position to its cell coordinates.
+func (g *nodeGrid) cellOf(p Position) cellXY {
+	return cellXY{x: int32(math.Floor(p.X / g.cell)), y: int32(math.Floor(p.Y / g.cell))}
 }
 
 // insert adds node n at position p under every channel of its span.
 func (g *nodeGrid) insert(n *airNode, p Position) {
-	c := g.cellOf(p)
-	g.where[n.id] = c
-	g.insertBuckets(n, c)
+	n.cell = g.cellOf(p)
+	g.insertBuckets(n)
 }
 
-func (g *nodeGrid) insertBuckets(n *airNode, c gridKey) {
+// insertBuckets adds node n to the buckets of its cell under its
+// current span.
+func (g *nodeGrid) insertBuckets(n *airNode) {
+	c := n.cell
 	g.lo.x, g.lo.y = min(g.lo.x, c.x), min(g.lo.y, c.y)
 	g.hi.x, g.hi.y = max(g.hi.x, c.x), max(g.hi.y, c.y)
+	b := g.cells[c.key()]
+	if b == nil {
+		b = new(gridCell)
+		g.cells[c.key()] = b
+	}
 	for _, u := range n.span {
-		k := gridKey{x: c.x, y: c.y, u: u}
-		g.cells[k] = append(g.cells[k], n)
+		if u.Valid() {
+			b[u] = append(b[u], n)
+		}
 	}
 }
 
-// removeBuckets drops node n from cell c's buckets, using n's current
-// span.
-func (g *nodeGrid) removeBuckets(n *airNode, c gridKey) {
-	g.removeSpanBuckets(n, c, n.span)
-}
-
-// removeSpanBuckets drops node n from cell c's buckets under the given
+// removeBuckets drops node n from its cell's buckets under the given
 // span — retune passes the span the node was bucketed under before the
 // channel changed.
-func (g *nodeGrid) removeSpanBuckets(n *airNode, c gridKey, span []spectrum.UHF) {
+func (g *nodeGrid) removeBuckets(n *airNode, span []spectrum.UHF) {
+	b := g.cells[n.cell.key()]
 	for _, u := range span {
-		k := gridKey{x: c.x, y: c.y, u: u}
-		b := g.cells[k]
-		for i, v := range b {
-			if v.id == n.id {
-				b[i] = b[len(b)-1]
-				g.cells[k] = b[:len(b)-1]
+		if !u.Valid() {
+			continue
+		}
+		s := b[u]
+		for i, v := range s {
+			if v == n {
+				s[i] = s[len(s)-1]
+				s[len(s)-1] = nil
+				b[u] = s[:len(s)-1]
 				break
 			}
 		}
@@ -113,49 +123,31 @@ func (g *nodeGrid) removeSpanBuckets(n *airNode, c gridKey, span []spectrum.UHF)
 }
 
 // remove drops node n from the index entirely.
-func (g *nodeGrid) remove(n *airNode) {
-	c, ok := g.where[n.id]
-	if !ok {
-		return
-	}
-	delete(g.where, n.id)
-	g.removeBuckets(n, c)
-}
+func (g *nodeGrid) remove(n *airNode) { g.removeBuckets(n, n.span) }
 
 // replace swaps the bucket entries of old (same id, possibly different
 // span) for the re-attached node n.
 func (g *nodeGrid) replace(old, n *airNode) {
-	c, ok := g.where[n.id]
-	if !ok {
-		return
-	}
-	g.removeBuckets(old, c)
-	g.insertBuckets(n, c)
+	g.removeBuckets(old, old.span)
+	n.cell = old.cell
+	g.insertBuckets(n)
 }
 
 // move re-buckets node n to position p; a move within one cell is free.
 func (g *nodeGrid) move(n *airNode, p Position) {
-	old, ok := g.where[n.id]
-	if !ok {
-		return
-	}
 	c := g.cellOf(p)
-	if c == old {
+	if c == n.cell {
 		return
 	}
-	g.removeBuckets(n, old)
-	g.insertBuckets(n, c)
-	g.where[n.id] = c
+	g.removeBuckets(n, n.span)
+	n.cell = c
+	g.insertBuckets(n)
 }
 
 // retune re-buckets node n from oldSpan to its current span in place.
 func (g *nodeGrid) retune(n *airNode, oldSpan []spectrum.UHF) {
-	c, ok := g.where[n.id]
-	if !ok {
-		return
-	}
-	g.removeSpanBuckets(n, c, oldSpan)
-	g.insertBuckets(n, c)
+	g.removeBuckets(n, oldSpan)
+	g.insertBuckets(n)
 }
 
 // minGridCellM and maxGridCellM clamp the auto-sized cell edge: below
@@ -193,13 +185,12 @@ func (a *Air) ensureGrid() *nodeGrid {
 	}
 	g := &nodeGrid{
 		cell:  cell,
-		cells: make(map[gridKey][]*airNode),
-		where: make(map[int]gridKey, len(a.nodes)),
-		lo:    gridKey{x: math.MaxInt32, y: math.MaxInt32},
-		hi:    gridKey{x: math.MinInt32, y: math.MinInt32},
+		cells: make(map[uint64]*gridCell),
+		lo:    cellXY{x: math.MaxInt32, y: math.MaxInt32},
+		hi:    cellXY{x: math.MinInt32, y: math.MinInt32},
 	}
 	for _, n := range a.nodes {
-		g.insert(n, a.pos[n.id])
+		g.insert(n, a.slotPos[n.slot])
 	}
 	a.grid = g
 	return g
@@ -255,8 +246,11 @@ func (a *Air) gridFor(r float64) *nodeGrid {
 // visitBuckets collects the nodes bucketed under UHF channels [lo, hi]
 // in the cells overlapping the disk of radius r around p, each once and
 // in ascending id order, and visits them. The cell rectangle is clamped
-// to the grid's occupied bounding box, which changes no candidate.
+// to the grid's occupied bounding box, and the channel range to the
+// band; neither changes a candidate. Each occupied cell costs one map
+// lookup, whatever the channel range.
 func (a *Air) visitBuckets(g *nodeGrid, p Position, r float64, lo, hi spectrum.UHF, f func(*airNode)) {
+	lo, hi = max(lo, 0), min(hi, spectrum.NumUHF-1)
 	x0 := max(int32(math.Floor((p.X-r)/g.cell)), g.lo.x)
 	x1 := min(int32(math.Floor((p.X+r)/g.cell)), g.hi.x)
 	y0 := max(int32(math.Floor((p.Y-r)/g.cell)), g.lo.y)
@@ -268,8 +262,12 @@ func (a *Air) visitBuckets(g *nodeGrid, p Position, r float64, lo, hi spectrum.U
 	wlo, whi := len(mark), -1
 	for x := x0; x <= x1; x++ {
 		for y := y0; y <= y1; y++ {
+			b := g.cells[cellXY{x, y}.key()]
+			if b == nil {
+				continue
+			}
 			for u := lo; u <= hi; u++ {
-				for _, n := range g.cells[gridKey{x: x, y: y, u: u}] {
+				for _, n := range b[u] {
 					w := n.idx >> 6
 					mark[w] |= 1 << (n.idx & 63)
 					wlo, whi = min(wlo, w), max(whi, w)

@@ -126,35 +126,28 @@ func TestReceiverMoveMidFlightReleasesBusy(t *testing.T) {
 	}
 }
 
-// TestPosGenAndLossCache: SetPosition bumps the generation and the
-// pair-loss cache tracks it (same value as a direct model query before
-// and after a move).
-func TestPosGenAndLossCache(t *testing.T) {
+// TestRxPowerFollowsMovesAndIsSymmetric: RxPower is the model's loss
+// between the endpoints' current positions, before and after a move,
+// and the same in both directions.
+func TestRxPowerFollowsMovesAndIsSymmetric(t *testing.T) {
 	eng := sim.New(1)
 	air := NewAir(eng)
 	prop := LogDistance{ShadowSigmaDB: 6, Seed: 42}
 	air.Prop = prop
 
-	g0 := air.PosGen()
 	air.SetPosition(1, Position{X: 0, Y: 0})
 	air.SetPosition(2, Position{X: 250, Y: 0})
-	if air.PosGen() == g0 {
-		t.Fatal("SetPosition did not advance PosGen")
-	}
 	want := DefaultTxPowerDBm - prop.LossDB(Position{}, Position{X: 250})
 	if got := air.RxPower(1, 2, DefaultTxPowerDBm); got != want {
-		t.Fatalf("cached RxPower = %v, want %v", got, want)
+		t.Fatalf("RxPower = %v, want %v", got, want)
 	}
-	// Warm the cache, then move and verify the cache does not serve the
-	// stale link budget.
-	_ = air.RxPower(1, 2, DefaultTxPowerDBm)
+	// Move and verify the earlier link budget is not served.
 	air.SetPosition(2, Position{X: 900, Y: 0})
 	want = DefaultTxPowerDBm - prop.LossDB(Position{}, Position{X: 900})
 	if got := air.RxPower(1, 2, DefaultTxPowerDBm); got != want {
-		t.Fatalf("post-move RxPower = %v, want %v (stale cache?)", got, want)
+		t.Fatalf("post-move RxPower = %v, want %v", got, want)
 	}
-	// Symmetry through the canonicalised cache key.
 	if air.RxPower(2, 1, DefaultTxPowerDBm) != want {
-		t.Fatal("pair-loss cache is not symmetric")
+		t.Fatal("RxPower is not symmetric")
 	}
 }

@@ -200,26 +200,26 @@ type AirtimeSource interface {
 	Measure(from, to time.Duration, exclude int) (airtime [spectrum.NumUHF]float64, aps [spectrum.NumUHF]int)
 }
 
+// BeaconInterval is the WhiteFi AP beacon period: core's APs beacon at
+// it (core.DefaultBeaconInterval), and SIFTAirtime counts APs by
+// grouping pulse detections at this periodicity.
+const BeaconInterval = 100 * time.Millisecond
+
 // SIFTAirtime measures airtime by scanning each UHF channel with SIFT.
 // The scan is performed over the same window for every channel (the
 // prototype dwells on each channel in turn; observing the same recorded
 // window per channel is equivalent for stationary traffic and keeps
 // virtual-time bookkeeping simple).
 type SIFTAirtime struct {
-	Scanner        *Scanner
-	BeaconInterval time.Duration
+	Scanner *Scanner
 }
 
 // Measure implements AirtimeSource using the SIFT pipeline.
 func (s *SIFTAirtime) Measure(from, to time.Duration, exclude int) (airtime [spectrum.NumUHF]float64, aps [spectrum.NumUHF]int) {
-	bi := s.BeaconInterval
-	if bi <= 0 {
-		bi = 100 * time.Millisecond
-	}
 	for u := spectrum.UHF(0); u < spectrum.NumUHF; u++ {
 		res := s.Scanner.ScanChannel(u, from, to)
 		airtime[u] = res.Airtime
-		aps[u] = sift.EstimateAPs(res.Detections, bi, 5*time.Millisecond)
+		aps[u] = sift.EstimateAPs(res.Detections, BeaconInterval, 5*time.Millisecond)
 	}
 	return airtime, aps
 }
