@@ -20,11 +20,12 @@ import (
 // cannot sense or decode it at any distance.
 //
 // nodeGrid culls on both axes at once: a uniform-cell spatial index
-// over the attached nodes, bucketed per (cell, spanned UHF channel), so
-// a query returns only the nodes that are both inside the interference
-// neighborhood and tuned to an overlapping channel. It is built lazily
-// on the first query with a finite range and then maintained
-// incrementally: attach, detach and retune touch one node's buckets,
+// over the attached nodes, one map entry per occupied cell holding a
+// bucket per spanned UHF channel, so a query returns only the nodes
+// that are both inside the interference neighborhood and tuned to an
+// overlapping channel, for one map lookup per occupied cell. It is
+// built lazily on the first query with a finite range and then
+// maintained incrementally: attach, detach and retune touch one node's buckets,
 // and a position update re-buckets only the moved node, so a dynamics
 // epoch that moves k nodes costs O(k) index work. A query visits only
 // the cells of its rectangle that lie inside the bounding box of every
