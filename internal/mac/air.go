@@ -744,6 +744,7 @@ func (a *Air) cleanAt(n *airNode, tx *Transmission) bool {
 	// binary-searched to the frames overlapping tx's airtime. In a dense
 	// world this is O(frames concurrent with tx on nearby centers)
 	// instead of O(all recent frames on all channels).
+	a.noiseRange.follow(a.Prop)
 	lo, hi := n.channel.Bounds()
 	for c := lo - maxHalfSpan; c <= hi+maxHalfSpan; c++ {
 		if !a.partitionReaches(c, lo, hi) {
@@ -774,9 +775,9 @@ func (a *Air) partitionReaches(c, lo, hi spectrum.UHF) bool {
 	return c+r >= lo && c-r <= hi
 }
 
-// rangeCache memoizes one squared cull radius per (propagation model,
-// transmit power); transmit powers are uniform across a scenario, so a
-// single slot hits almost always.
+// rangeCache memoizes one squared cull radius per transmit power under
+// the propagation model it was filled for; transmit powers are uniform
+// across a scenario, so a single slot hits almost always.
 type rangeCache struct {
 	prop Propagation
 	pow  float64
@@ -784,17 +785,28 @@ type rangeCache struct {
 	ok   bool
 }
 
+// follow empties c if it was filled under a model other than p. Every
+// query that reads c calls it once on entry, so the per-row check in
+// beyondRange compares only the power: Prop may change between queries,
+// never during one.
+func (c *rangeCache) follow(p Propagation) {
+	if c.prop != p {
+		*c = rangeCache{prop: p}
+	}
+}
+
 // beyondRange reports whether a receiver at squared distance d2 from a
 // transmitter at powerDBm is provably below floorDBm under the current
 // model — the cheap geometric rejection applied before a full link
-// budget. It never rejects when the medium cannot cull.
+// budget. c must have followed a.Prop in the calling query. It never
+// rejects when the medium cannot cull.
 func (a *Air) beyondRange(c *rangeCache, powerDBm, floorDBm, d2 float64) bool {
 	if a.Prop == nil {
 		return false
 	}
-	if !c.ok || c.pow != powerDBm || c.prop != a.Prop {
+	if !c.ok || c.pow != powerDBm {
 		r := a.Prop.MaxRangeFor(powerDBm, floorDBm)
-		*c = rangeCache{prop: a.Prop, pow: powerDBm, r2: r * r, ok: true}
+		c.pow, c.r2, c.ok = powerDBm, r*r, true
 	}
 	return d2 > c.r2
 }
@@ -1182,7 +1194,8 @@ func (a *Air) countsAsAP(i int32) bool {
 
 // audibleAt reports whether the observer in slot obs receives the
 // logged transmission at index i above the carrier-sense threshold; the
-// ideal observer (obs -1) hears everything.
+// ideal observer (obs -1) hears everything. The calling query has made
+// csRange follow the current model.
 func (a *Air) audibleAt(obs int32, i int32) bool {
 	if obs < 0 {
 		return true
@@ -1211,6 +1224,7 @@ func (a *Air) BusyFractionAt(observer int, u spectrum.UHF, from, to time.Duratio
 		return 0
 	}
 	obs := a.observerSlot(observer)
+	a.csRange.follow(a.Prop)
 	a.markExcluded(exclude)
 	ivs := a.scratchIvs[:0]
 	// collectContaining returns indices in start order, so the intervals
@@ -1265,6 +1279,7 @@ func (a *Air) ObservationAt(observer int, from, to time.Duration, exclude map[in
 		return
 	}
 	obs := a.observerSlot(observer)
+	a.csRange.follow(a.Prop)
 	a.markExcluded(exclude)
 	for u := range a.obsIvs {
 		a.obsIvs[u] = a.obsIvs[u][:0]
@@ -1316,6 +1331,7 @@ func (a *Air) ObservationAt(observer int, from, to time.Duration, exclude map[in
 // B_c of Section 4.1.
 func (a *Air) ActiveAPsAt(observer int, u spectrum.UHF, from, to time.Duration, exclude map[int]bool) int {
 	obs := a.observerSlot(observer)
+	a.csRange.follow(a.Prop)
 	a.markExcluded(exclude)
 	count := 0
 	for _, i := range a.collectContaining(u, from, to) {

@@ -143,6 +143,103 @@ func TestBusyFractionObserverRelative(t *testing.T) {
 	}
 }
 
+// swapShort and swapLong are a short- and a long-range model for the
+// Prop swap tests: 900 m is beyond swapShort's carrier-sense range
+// (about 400 m) and 800 m beyond its interference range (about 580 m),
+// while swapLong reaches both (about 1.3 km and 2.1 km).
+var swapShort, swapLong = LogDistance{}, LogDistance{Exponent: 2.5}
+
+// TestCSRangeFollowsPropSwap swaps Air.Prop between two scans of each
+// observation query, on a fresh medium per query: the second scan must
+// use the new model's carrier-sense radius, not the one cached under
+// the old model.
+func TestCSRangeFollowsPropSwap(t *testing.T) {
+	const far = 900.0
+	if r := swapShort.MaxRangeFor(DefaultTxPowerDBm, DefaultCSThresholdDBm); r >= far {
+		t.Fatalf("short model's carrier-sense range %v m reaches %v m", r, far)
+	}
+	if rx := DefaultTxPowerDBm - swapLong.LossDB(Position{}, Position{far, 0}); rx < DefaultCSThresholdDBm {
+		t.Fatalf("long model delivers %v dBm at %v m, below carrier sense", rx, far)
+	}
+	from, to, u := time.Duration(0), 20*time.Millisecond, testChannel().Center
+	queries := []struct {
+		name  string
+		heard func(air *Air, ideal float64) bool
+	}{
+		{"BusyFractionAt", func(air *Air, ideal float64) bool { return air.BusyFractionAt(51, u, from, to, nil) == ideal }},
+		{"ActiveAPsAt", func(air *Air, _ float64) bool { return air.ActiveAPsAt(51, u, from, to, nil) == 1 }},
+		{"ObservationAt", func(air *Air, ideal float64) bool {
+			busy, aps := air.ObservationAt(51, from, to, nil)
+			return busy[u] == ideal && aps[u] == 1
+		}},
+	}
+	for _, q := range queries {
+		eng := sim.New(1)
+		air := NewAir(eng)
+		air.Prop = swapShort
+		src := NewNode(eng, air, 1, testChannel(), true)
+		src.SetPosition(Position{0, 0})
+		air.SetPosition(51, Position{far, 0})
+		src.SendImmediate(phy.DataFrame(1, phy.Broadcast, 1000))
+		eng.Run()
+		ideal := air.BusyFractionAt(IdealObserver, u, from, to, nil)
+		if ideal <= 0 {
+			t.Fatalf("ideal busy fraction = %v, want > 0", ideal)
+		}
+		if q.heard(air, ideal) {
+			t.Fatalf("%s: observer at %v m hears the source under the short model", q.name, far)
+		}
+		air.Prop = swapLong
+		if !q.heard(air, ideal) {
+			t.Errorf("%s: after the swap to the long model the observer at %v m still hears nothing", q.name, far)
+		}
+	}
+}
+
+// TestNoiseRangeFollowsPropSwap swaps Air.Prop between two rounds of
+// the same overlapping pair of frames: the second round's interference
+// scan must use the new model's noise radius, so the far interferer
+// that the short model could not hear collides under the long one.
+func TestNoiseRangeFollowsPropSwap(t *testing.T) {
+	const far = 800.0
+	if r := swapShort.MaxRangeFor(DefaultTxPowerDBm, NoiseFloorDBm); r >= far {
+		t.Fatalf("short model's interference range %v m reaches %v m", r, far)
+	}
+	if rx := DefaultTxPowerDBm - swapLong.LossDB(Position{}, Position{far, 0}); rx < NoiseFloorDBm {
+		t.Fatalf("long model delivers %v dBm at %v m, below the noise floor", rx, far)
+	}
+	eng := sim.New(1)
+	air := NewAir(eng)
+	air.Prop = swapShort
+	ch := testChannel()
+	a := NewNode(eng, air, 1, ch, false)
+	r := NewNode(eng, air, 2, ch, false)
+	i := NewNode(eng, air, 3, ch, false)
+	a.SetPosition(Position{0, 0})
+	r.SetPosition(Position{100, 0})
+	i.SetPosition(Position{100 + far, 0})
+	got := 0
+	r.OnReceive = func(f phy.Frame, _ *Transmission) {
+		if f.Src == 1 {
+			got++
+		}
+	}
+	round := func() {
+		a.SendImmediate(phy.DataFrame(1, 2, 1000))
+		i.SendImmediate(phy.DataFrame(3, phy.Broadcast, 1000))
+		eng.Run()
+	}
+	round()
+	if got != 1 {
+		t.Fatalf("short model: receiver decoded %d frames with the interferer %v m away, want 1", got, far)
+	}
+	air.Prop = swapLong
+	round()
+	if got != 1 {
+		t.Fatalf("long model: receiver decoded a frame through an interferer %v m away that the new model hears", far)
+	}
+}
+
 func TestHiddenTerminalCollisionAtMiddleReceiver(t *testing.T) {
 	// A at 0, B at 500 m: out of carrier-sense range of each other
 	// (range ~398 m), both inside decode range of R at 250 m. When both

@@ -15,7 +15,7 @@
 // API (all under /api):
 //
 //	POST /api/runs                  {"kind","spec"}  → {"id"}; starts immediately
-//	GET  /api/runs                  run summaries
+//	GET  /api/runs                  run summaries, in submission order
 //	GET  /api/runs/{id}             one run's status (+result JSON when done)
 //	GET  /api/runs/{id}/stream      live snapshot JSONL (chunked; replays from t=0)
 //	POST /api/runs/{id}/pause       hold the run between slices
@@ -29,4 +29,17 @@
 // the original's history exactly (verified by section digests at the
 // capture instant) and then continues it; a fork applies what-if edits
 // at the capture instant and diverges only from there.
+//
+// Status reads never wait for the simulation. Each run publishes an
+// immutable status (state, virtual clock, end, error and, once done,
+// the result) at every slice boundary and every state change, and the
+// two status endpoints read the latest one without taking the run
+// lock: a poll issued while a slice is advancing reports the last
+// completed slice boundary. Pause, resume, checkpoint and fork take
+// the run lock and land on slice boundaries.
+//
+// A finished run keeps only what it serves: its result, its snapshot
+// stream and the end checkpoint captured once when it finished. Its
+// session is dropped; checkpoint and fork requests on it use the end
+// checkpoint.
 package server

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"whitefi/internal/checkpoint"
@@ -35,20 +36,26 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// run is one hosted session and its lifecycle state. The session is
-// touched only under mu — the run loop advances it one Slice per
-// critical section, so control handlers interleave on slice
-// boundaries.
+// run is one hosted session and its lifecycle state. mu guards the
+// session and every field below it: the run loop holds mu for one
+// Slice at a time, so pause, resume, checkpoint and fork take it and
+// land on slice boundaries. Status reads do not take mu: every change
+// to what a status reports is published to pub while mu is held.
 type run struct {
 	id   string
 	kind string
+	seq  int // creation number: the listing order
+
+	pub atomic.Pointer[runStatus] // last published status, immutable
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	sess   checkpoint.Session // nil until restore/build completes
+	sess   checkpoint.Session // nil until restore/build completes, and again once the run ends
 	state  string             // "starting", "running", "paused", "done", "failed"
 	errMsg string
-	result []byte // marshaled session result, set when done
+	result []byte                 // marshaled session result, set when done
+	endCP  *checkpoint.Checkpoint // end checkpoint, captured once when done
+	endErr error                  // endCP's capture error
 
 	stream *stream
 }
@@ -89,10 +96,14 @@ func (s *Server) newRun(kind string) *run {
 	r := &run{
 		id:     fmt.Sprintf("r%d", s.nextID),
 		kind:   kind,
+		seq:    s.nextID,
 		state:  "starting",
 		stream: newStream(),
 	}
 	r.cond = sync.NewCond(&r.mu)
+	r.mu.Lock()
+	r.publish()
+	r.mu.Unlock()
 	s.runs[r.id] = r
 	return r
 }
@@ -119,6 +130,7 @@ func (s *Server) launch(r *run, build func(opt checkpoint.Options) (checkpoint.S
 		if err != nil {
 			r.state = "failed"
 			r.errMsg = err.Error()
+			r.publish()
 			r.cond.Broadcast()
 			r.mu.Unlock()
 			r.stream.Close()
@@ -128,6 +140,7 @@ func (s *Server) launch(r *run, build func(opt checkpoint.Options) (checkpoint.S
 		if r.state == "starting" {
 			r.state = "running"
 		}
+		r.publish()
 		r.cond.Broadcast()
 		r.mu.Unlock()
 
@@ -138,14 +151,7 @@ func (s *Server) launch(r *run, build func(opt checkpoint.Options) (checkpoint.S
 			}
 			now, end := r.sess.Now(), r.sess.End()
 			if now >= end {
-				res, merr := json.Marshal(r.sess.Result())
-				if merr != nil {
-					r.state = "failed"
-					r.errMsg = merr.Error()
-				} else {
-					r.state = "done"
-					r.result = res
-				}
+				r.finish()
 				r.cond.Broadcast()
 				r.mu.Unlock()
 				r.stream.Close()
@@ -156,9 +162,28 @@ func (s *Server) launch(r *run, build func(opt checkpoint.Options) (checkpoint.S
 				next = end
 			}
 			r.sess.AdvanceTo(next)
+			r.publish()
 			r.mu.Unlock()
 		}
 	}()
+}
+
+// finish ends a run whose session reached its end: it captures the
+// end checkpoint once for later checkpoint and fork requests, marshals
+// the result, and drops the session, so a finished run holds only what
+// it publishes. The capture comes first because Result may stop the
+// scenario's processes: a checkpoint taken after it records state that
+// no replay to the end reproduces, and Restore rejects it. The caller
+// holds r.mu.
+func (r *run) finish() {
+	r.endCP, r.endErr = checkpoint.Capture(r.sess)
+	if res, err := json.Marshal(r.sess.Result()); err != nil {
+		r.state, r.errMsg = "failed", err.Error()
+	} else {
+		r.state, r.result = "done", res
+	}
+	r.publish() // while the session still gives the final clock
+	r.sess = nil
 }
 
 // runStatus is the JSON shape of one run in list/status responses.
@@ -179,17 +204,26 @@ type runStatus struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// status snapshots a run's status under its lock.
-func (r *run) status(withResult bool) runStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := runStatus{ID: r.id, Kind: r.kind, State: r.state, Error: r.errMsg}
+// publish stores the run's current status for lock-free readers and
+// returns it. The caller holds r.mu. A run without a session has not
+// been built yet and reports a zero clock and end.
+func (r *run) publish() runStatus {
+	st := runStatus{ID: r.id, Kind: r.kind, State: r.state, Error: r.errMsg, Result: r.result}
 	if r.sess != nil {
-		st.AtNS = int64(r.sess.Now())
-		st.EndNS = int64(r.sess.End())
+		st.AtNS, st.EndNS = int64(r.sess.Now()), int64(r.sess.End())
 	}
-	if withResult && r.result != nil {
-		st.Result = json.RawMessage(r.result)
+	r.pub.Store(&st)
+	return st
+}
+
+// status returns the run's last published status, with the result
+// JSON only when withResult is set. It never waits for the run lock,
+// so a status read while a slice is advancing reports the last
+// completed slice boundary.
+func (r *run) status(withResult bool) runStatus {
+	st := *r.pub.Load()
+	if !withResult {
+		st.Result = nil
 	}
 	return st
 }
@@ -249,11 +283,11 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 		runs = append(runs, r)
 	}
 	s.mu.Unlock()
-	out := make([]runStatus, 0, len(runs))
-	for _, r := range runs {
-		out = append(out, r.status(false))
+	sort.Slice(runs, func(i, j int) bool { return runs[i].seq < runs[j].seq })
+	out := make([]runStatus, len(runs))
+	for i, r := range runs {
+		out[i] = r.status(false)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	writeJSON(w, http.StatusOK, map[string]interface{}{"runs": out})
 }
 
@@ -313,9 +347,13 @@ func (s *Server) handlePause(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusConflict, "cannot pause a %s run", st)
 		return
 	}
+	// Reply with the status published under the lock: a run paused
+	// before its session is built must report end_ns 0, even if the
+	// build completes before the reply is written.
+	st := r.publish()
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	writeJSON(w, http.StatusOK, r.status(false))
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleResume(w http.ResponseWriter, req *http.Request) {
@@ -331,6 +369,7 @@ func (s *Server) handleResume(w http.ResponseWriter, req *http.Request) {
 		} else {
 			r.state = "running"
 		}
+		r.publish()
 		r.cond.Broadcast()
 	}
 	r.mu.Unlock()
@@ -340,10 +379,14 @@ func (s *Server) handleResume(w http.ResponseWriter, req *http.Request) {
 // capture takes a checkpoint of the run between slices. The run keeps
 // going afterwards (pause first for a stable download point — the
 // checkpoint itself is consistent either way, since capture holds the
-// run lock).
+// run lock). A finished run returns the end checkpoint it captured
+// when it finished.
 func (r *run) capture() (*checkpoint.Checkpoint, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.state == "done" {
+		return r.endCP, r.endErr
+	}
 	// A pause can land before the build finishes; wait for the session
 	// rather than racing it.
 	for r.sess == nil && r.state != "failed" {

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — end-to-end smoke of the simulation server: start
 # whitefi-sim -serve (race detector on), submit a dense-city scenario
-# over HTTP, stream its snapshot JSONL, then pause a second run
-# mid-flight, download its checkpoint, fork it with a what-if edit,
-# resume it — and require the resumed and the checkpoint-restored runs
-# to finish byte-identical (jq-diffed result, diffed stream) to an
-# uninterrupted batch run of the same spec.
+# over HTTP, stream its snapshot JSONL, checkpoint it twice once it is
+# done, then pause a second run mid-flight, download its checkpoint,
+# fork it with a what-if edit, resume it — and require the resumed run
+# and the runs restored from both checkpoints to finish byte-identical
+# (jq-diffed result, diffed stream) to an uninterrupted batch run of
+# the same spec.
 #
 # Usage: scripts/serve_smoke.sh [addr]   (default 127.0.0.1:18090)
 set -euo pipefail
@@ -69,6 +70,18 @@ jq -e '.event == "snapshot"' <(head -1 "$work/r1.stream") >/dev/null \
 diff <(jq -S .result "$work/r1.json") <(jq -S . "$work/ref.json") \
     || { echo "serve-smoke: served result diverged from batch run"; exit 1; }
 
+# A finished run keeps its end checkpoint: two downloads must be
+# identical, and a run restored from one must finish with the batch
+# result.
+curl -sf -X POST "$base/api/runs/$r1/checkpoint" >"$work/r1.ckpt"
+curl -sf -X POST "$base/api/runs/$r1/checkpoint" >"$work/r1-again.ckpt"
+cmp -s "$work/r1.ckpt" "$work/r1-again.ckpt" \
+    || { echo "serve-smoke: two checkpoints of finished run $r1 differ"; exit 1; }
+r1r=$(curl -sf -X POST "$base/api/restore" --data-binary @"$work/r1.ckpt" | jq -r .id)
+wait_done "$r1r" "$work/r1r.json"
+diff <(jq -S .result "$work/r1r.json") <(jq -S . "$work/ref.json") \
+    || { echo "serve-smoke: run restored from finished run $r1 diverged from batch run"; exit 1; }
+
 # Run 2: pause mid-flight, checkpoint, fork with an edit, resume.
 r2=$(curl -sf -X POST "$base/api/runs" -d "{\"kind\":\"densecity\",\"spec\":$spec}" | jq -r .id)
 for _ in $(seq 1 600); do
@@ -114,4 +127,4 @@ kill "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 trap 'rm -rf "$work"' EXIT
 
-echo "serve-smoke: PASS (4 runs; resume + restore byte-identical to batch, fork diverged; $(wc -l <"$work/r1.stream") stream lines)"
+echo "serve-smoke: PASS (5 runs; resume + both restores byte-identical to batch, fork diverged; $(wc -l <"$work/r1.stream") stream lines)"
